@@ -5,6 +5,7 @@
 #include "core/campaign.hpp"
 #include "pll/pll.hpp"
 #include "trace/metrics.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -109,11 +110,11 @@ public:
                                        ? r.real_accumulated_time /
                                              static_cast<double>(r.iterations)
                                        : r.real_accumulated_time;
-            std::string e = "  {\"name\": \"" + jsonId(r.benchmark_name()) + "\"";
+            std::string e = "  {\"name\": \"" + util::jsonEscape(r.benchmark_name()) + "\"";
             e += ", \"wall_ms\": " + formatDouble(wallSec * 1e3, 6);
             e += ", \"iterations\": " + std::to_string(r.iterations);
             for (const auto& [key, counter] : r.counters) {
-                e += ", \"" + jsonId(key) + "\": " + formatDouble(counter, 6);
+                e += ", \"" + util::jsonEscape(key) + "\": " + formatDouble(counter, 6);
             }
             e += "}";
             entries_.push_back(std::move(e));
@@ -134,20 +135,6 @@ public:
     }
 
 private:
-    /// Benchmark/counter names are identifier-plus-slash shaped; quote and
-    /// backslash are escaped anyway so the output always parses.
-    static std::string jsonId(const std::string& s)
-    {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\') {
-                out += '\\';
-            }
-            out += c;
-        }
-        return out;
-    }
-
     std::vector<std::string> entries_;
 };
 

@@ -25,6 +25,16 @@ namespace {
 /// CheckpointStore key of the (single) golden testbench.
 constexpr const char* kGoldenCheckpoints = "golden";
 
+/// Where a fault's verdict comes from. run() assigns exactly one per fault
+/// index before the worker phase; workers simulate only Simulated indices,
+/// and the ordered commit is one switch over the four.
+enum class Source : unsigned char {
+    Restored,  ///< a journal entry of an earlier campaign, committed as-is
+    Batched,   ///< classified by the bit-parallel word kernel
+    Expanded,  ///< a collapse-class member, copied from its representative
+    Simulated, ///< a contained event-driven run on a worker
+};
+
 /// The result of an expanded (not simulated) member of a collapse class:
 /// the representative's classification verbatim, zero resource consumption,
 /// provenance in diagnostics.collapsedFrom.
@@ -261,22 +271,104 @@ CampaignRunner::CampaignRunner(fault::TestbenchFactory factory, Tolerance tolera
 
 CampaignRunner::~CampaignRunner() = default;
 
-SimTime CampaignRunner::effectiveCheckpointCadence() const
-{
-    if (checkpointCadence_ > 0) {
-        return checkpointCadence_;
-    }
-    if (checkpointCadence_ < 0) {
-        return 0; // explicit opt-out beats the environment
-    }
-    const char* env = std::getenv("GFI_CHECKPOINT");
-    if (env != nullptr && *env != '\0') {
-        const double seconds = std::strtod(env, nullptr);
-        if (seconds > 0.0 && seconds < 1e30) {
-            return fromSeconds(seconds);
+/// Every campaign mode, resolved once by resolvePlan() and passed down: no
+/// later code reads a mode setter or the environment.
+struct CampaignRunner::CampaignPlan {
+    SimTime cadence = 0;                 ///< fork-from-golden cadence; 0 = off
+    bool collapse = false;               ///< static fault collapsing
+    bool batch = false;                  ///< bit-parallel backend, conflicts applied
+    const char* batchConflict = nullptr; ///< why a requested backend is off
+    std::string forensicsDir;            ///< flight-recorder dumps; empty = off
+    obs::Telemetry* tel = nullptr;       ///< sink; nullptr = every site a no-op
+
+    /// Drops the provenance keys of a restored verdict that a campaign under
+    /// this plan could not have written, so a journal of a differently
+    /// configured campaign restores into the report this one would produce
+    /// (no "forked runs", "collapsed runs" or forensic rows for modes that
+    /// are off). Each key belongs to exactly one Source, read back from the
+    /// keys themselves.
+    void scrub(RunDiagnostics& d) const
+    {
+        bool keepLane = false;
+        bool keepCollapsed = false;
+        bool keepFork = false;
+        bool keepForensic = false;
+        switch (d.batchLane > 0                ? Source::Batched
+                : !d.collapsedFrom.empty() ? Source::Expanded
+                                           : Source::Simulated) {
+        case Source::Batched:
+            keepLane = batch;
+            break;
+        case Source::Expanded:
+            keepCollapsed = collapse;
+            break;
+        case Source::Simulated:
+            keepFork = cadence > 0;
+            keepForensic = !forensicsDir.empty();
+            break;
+        case Source::Restored:
+            break;
+        }
+        if (!keepLane) {
+            d.batchLane = 0;
+        }
+        if (!keepCollapsed) {
+            d.collapsedFrom.clear();
+        }
+        if (!keepFork) {
+            d.checkpointTime = 0;
+            d.resimulatedTime = 0;
+        }
+        if (!keepForensic) {
+            d.forensic.clear();
         }
     }
-    return 0;
+};
+
+CampaignRunner::CampaignPlan CampaignRunner::resolvePlan()
+{
+    // Precedence: an explicit setter beats the environment, including the
+    // explicit "off" of a negative cadence or setForensics("").
+    const auto envFlag = [](const char* name) {
+        const char* env = std::getenv(name);
+        return env != nullptr && *env != '\0' && *env != '0';
+    };
+    CampaignPlan plan;
+    if (checkpointCadence_ != 0) {
+        plan.cadence = std::max<SimTime>(checkpointCadence_, 0);
+    } else if (const char* env = std::getenv("GFI_CHECKPOINT");
+               env != nullptr && *env != '\0') {
+        const double seconds = std::strtod(env, nullptr);
+        if (seconds > 0.0 && seconds < 1e30) {
+            plan.cadence = fromSeconds(seconds);
+        }
+    }
+    plan.collapse = collapseMode_ != 0 ? collapseMode_ > 0 : envFlag("GFI_COLLAPSE");
+    plan.batch = batchMode_ != 0 ? batchMode_ > 0 : envFlag("GFI_BATCH");
+    if (forensicsSet_) {
+        plan.forensicsDir = forensicsDir_;
+    } else if (const char* env = std::getenv("GFI_FORENSICS")) {
+        plan.forensicsDir = env;
+    }
+    // The attached sink wins, else GFI_TRACE/GFI_METRICS builds a runner-owned
+    // one (kept across calls so repeated campaigns accumulate into one dump).
+    if (telemetry_ == nullptr && !envTelemetry_) {
+        envTelemetry_ = obs::Telemetry::fromEnv();
+    }
+    plan.tel = telemetry_ != nullptr ? telemetry_ : envTelemetry_.get();
+
+    // Per-run watchdog budgets cannot be metered inside a shared 64-lane word
+    // run, and fork-from-golden restores event-kernel snapshots the word
+    // kernel cannot consume: either falls the whole campaign back to the
+    // event-driven kernel, and run() says so.
+    if (plan.batch && (watchdogConfig_.wallClockSeconds > 0.0 ||
+                       watchdogConfig_.digitalWaves != 0 || watchdogConfig_.analogSteps != 0)) {
+        plan.batchConflict = "per-run watchdog budgets require the event-driven kernel";
+    } else if (plan.batch && plan.cadence > 0) {
+        plan.batchConflict = "fork-from-golden uses event-kernel checkpoints";
+    }
+    plan.batch = plan.batch && plan.batchConflict == nullptr;
+    return plan;
 }
 
 std::size_t CampaignRunner::checkpointCount() const
@@ -284,34 +376,12 @@ std::size_t CampaignRunner::checkpointCount() const
     return checkpoints_.count(kGoldenCheckpoints);
 }
 
-bool CampaignRunner::faultCollapsingEnabled() const
-{
-    if (collapseMode_ != 0) {
-        return collapseMode_ > 0;
-    }
-    const char* env = std::getenv("GFI_COLLAPSE");
-    return env != nullptr && *env != '\0' && *env != '0';
-}
-
-bool CampaignRunner::batchBackendEnabled() const
-{
-    if (batchMode_ != 0) {
-        return batchMode_ > 0;
-    }
-    const char* env = std::getenv("GFI_BATCH");
-    return env != nullptr && *env != '\0' && *env != '0';
-}
-
-std::string CampaignRunner::forensicsDir() const
-{
-    if (forensicsSet_) {
-        return forensicsDir_; // explicit setting (possibly empty = off) wins
-    }
-    const char* env = std::getenv("GFI_FORENSICS");
-    return env != nullptr ? std::string(env) : std::string();
-}
-
 void CampaignRunner::runGolden()
+{
+    runGolden(resolvePlan());
+}
+
+void CampaignRunner::runGolden(const CampaignPlan& plan)
 {
     if (goldenRan_) {
         return;
@@ -319,7 +389,7 @@ void CampaignRunner::runGolden()
     if (!golden_) {
         golden_ = factory_(); // may already exist: preflight lints it pre-run
     }
-    const SimTime cadence = effectiveCheckpointCadence();
+    const SimTime cadence = plan.cadence;
     if (cadence > 0) {
         // Fork-from-golden: advance event by event and capture at the first
         // scheduled event past each cadence mark. Scheduled event times are
@@ -341,10 +411,10 @@ void CampaignRunner::runGolden()
                 checkpoints_.put(kGoldenCheckpoints, std::make_shared<const snapshot::Snapshot>(
                                                          sim.captureSnapshot()));
                 nextMark = ev + cadence;
-                if (obs::Telemetry* tel = activeTelemetry();
-                    tel != nullptr && tel->trace() != nullptr) {
-                    tel->trace()->instantEvent("checkpoint", "golden",
-                                               "{\"sim_time\": \"" + formatTime(ev) + "\"}");
+                if (plan.tel != nullptr && plan.tel->trace() != nullptr) {
+                    plan.tel->trace()->instantEvent("checkpoint", "golden",
+                                                    "{\"sim_time\": \"" + formatTime(ev) +
+                                                        "\"}");
                 }
             }
         }
@@ -441,7 +511,8 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
     return result;
 }
 
-RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
+RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt,
+                                     const CampaignPlan& plan)
 {
     RunResult result;
     result.fault = fault;
@@ -460,14 +531,13 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
     }
 
     Watchdog watchdog(watchdogConfig_.scaledFor(activeWorkers_));
-    obs::Telemetry* const tel = activeTelemetry();
+    obs::Telemetry* const tel = plan.tel;
     // Forensics: a bounded kernel-event ring rides along with the run; it is
     // declared before the testbench so the simulator's recorder pointer never
     // outlives it. Recording is a branch plus a fixed-slot write, so arming
     // it for every run of a campaign is fine.
-    const std::string forensics = forensicsDir();
     std::unique_ptr<obs::FlightRecorder> recorder;
-    if (!forensics.empty()) {
+    if (!plan.forensicsDir.empty()) {
         recorder = std::make_unique<obs::FlightRecorder>(
             forensicsCapacity_ > 0 ? forensicsCapacity_
                                    : obs::FlightRecorder::kDefaultCapacity);
@@ -551,7 +621,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
     // failed dump must not turn a classified data point into a crash.
     if (recorder && isAbnormal(result.outcome)) {
         const std::string stem =
-            forensics + "/run-" + fnv1aHex(fault::describe(fault)) + "-a" +
+            plan.forensicsDir + "/run-" + fnv1aHex(fault::describe(fault)) + "-a" +
             std::to_string(attempt);
         try {
             recorder->writeArtifacts(stem);
@@ -568,12 +638,12 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt)
     return result;
 }
 
-RunResult CampaignRunner::runContained(const fault::FaultSpec& fault)
+RunResult CampaignRunner::runContained(const fault::FaultSpec& fault, const CampaignPlan& plan)
 {
     const int maxAttempts = std::max(1, retryPolicy_.maxAttempts);
     RunResult result;
     for (int attempt = 1;; ++attempt) {
-        result = attemptOne(fault, attempt);
+        result = attemptOne(fault, attempt, plan);
         result.diagnostics.attempts = attempt;
         if (!isAbnormal(result.outcome) || attempt >= maxAttempts ||
             !retryPolicy_.shouldRetry(result.outcome)) {
@@ -582,8 +652,8 @@ RunResult CampaignRunner::runContained(const fault::FaultSpec& fault)
         // Counted at decision time because only the final outcome survives
         // into the result — the cause label would otherwise be lost when a
         // retry succeeds.
-        if (obs::Telemetry* tel = activeTelemetry()) {
-            tel->metrics()
+        if (plan.tel != nullptr) {
+            plan.tel->metrics()
                 .counter(std::string("gfi_run_retries_total{cause=\"") +
                              toString(result.outcome) + "\"}",
                          "Retried attempts by the abnormal outcome that triggered them")
@@ -594,8 +664,9 @@ RunResult CampaignRunner::runContained(const fault::FaultSpec& fault)
 
 RunResult CampaignRunner::runOne(const fault::FaultSpec& fault)
 {
-    runGolden();
-    return runContained(fault);
+    const CampaignPlan plan = resolvePlan();
+    runGolden(plan);
+    return runContained(fault, plan);
 }
 
 std::map<Outcome, int> CampaignRunner::liveHistogram() const
@@ -610,9 +681,13 @@ std::size_t CampaignRunner::completedRuns() const
     return liveCompleted_;
 }
 
-void CampaignRunner::recordRunMetrics(const RunResult& r)
+namespace {
+
+/// Applies one committed run to the metrics registry (outcome/attempt
+/// counters, kernel-probe deltas, fork savings). Called in commit order; only
+/// counter/gauge folds, so totals are worker-width invariant.
+void recordRunMetrics(obs::Telemetry* tel, const RunResult& r)
 {
-    obs::Telemetry* const tel = activeTelemetry();
     if (tel == nullptr) {
         return;
     }
@@ -666,18 +741,77 @@ void CampaignRunner::recordRunMetrics(const RunResult& r)
     }
 }
 
+/// Static fault collapsing: partitions the list into provably-equivalent
+/// classes; only class representatives simulate, members expand at commit
+/// time. Purely structural (declared connectivity only), so it costs
+/// microseconds even for thousands of faults. nullptr when nothing collapses.
+std::unique_ptr<analyze::CollapsePlan> planCollapse(const fault::Testbench& golden,
+                                                    const std::vector<fault::FaultSpec>& faults,
+                                                    obs::Telemetry* tel)
+{
+    obs::Span span(tel, "collapse", "campaign");
+    auto plan =
+        std::make_unique<analyze::CollapsePlan>(analyze::collapseFaults(golden, faults));
+    if (plan->collapsedRuns() == 0) {
+        return nullptr; // nothing to save: identical to a full campaign
+    }
+    std::fprintf(stderr, "gfi: fault collapsing: %zu fault%s -> %zu class%s\n", faults.size(),
+                 faults.size() == 1 ? "" : "s", plan->classes(),
+                 plan->classes() == 1 ? "" : "es");
+    if (tel != nullptr) {
+        tel->metrics()
+            .counter("gfi_runs_collapsed_total",
+                     "Campaign runs expanded from a collapse representative instead of "
+                     "simulated")
+            .inc(plan->collapsedRuns());
+    }
+    return plan;
+}
+
+/// Bit-parallel pre-phase: word-simulates the request's candidates and logs
+/// what happened. Returns index -> verdict for every fault the word kernel
+/// classified; the rest (ineligible faults or designs, cross-check
+/// fallbacks) stay on the contained event-driven path.
+std::map<std::size_t, RunResult> runBatchPhase(const batch::BatchRequest& req,
+                                               obs::Telemetry* tel)
+{
+    obs::Span span(tel, "batch", "campaign");
+    std::map<std::size_t, RunResult> batched;
+    const batch::BatchStats bstats = batch::runBatchedCampaign(req, batched);
+    if (!bstats.designEligible) {
+        std::fprintf(stderr, "gfi: batch: event-driven fallback (%s)\n",
+                     bstats.designReason.c_str());
+    } else if (bstats.groups > 0 || !bstats.fallbacks.empty()) {
+        std::fprintf(stderr,
+                     "gfi: batch: %zu run%s word-simulated in %zu group%s, %zu "
+                     "event-driven fallback%s\n",
+                     bstats.batched, bstats.batched == 1 ? "" : "s", bstats.groups,
+                     bstats.groups == 1 ? "" : "s", bstats.fallbacks.size(),
+                     bstats.fallbacks.size() == 1 ? "" : "s");
+    }
+    if (bstats.crossCheckFailures > 0) {
+        std::fprintf(stderr,
+                     "gfi: batch: %zu group%s failed the golden cross-check and "
+                     "re-ran event-driven\n",
+                     bstats.crossCheckFailures, bstats.crossCheckFailures == 1 ? "" : "s");
+    }
+    if (tel != nullptr && bstats.batched > 0) {
+        tel->metrics()
+            .counter("gfi_runs_batched_total",
+                     "Campaign runs classified by the bit-parallel word kernel")
+            .inc(bstats.batched);
+    }
+    return batched;
+}
+
+} // namespace
+
 CampaignReport CampaignRunner::run(
     const std::vector<fault::FaultSpec>& faults,
     const std::function<void(std::size_t, const RunResult&)>& progress)
 {
-    // Resolve the telemetry sink once per campaign: the attached one wins,
-    // else GFI_TRACE/GFI_METRICS builds a campaign-owned one (kept across
-    // run() calls so repeated campaigns accumulate into one dump). tel ==
-    // nullptr leaves every instrumentation site a no-op.
-    if (telemetry_ == nullptr && !envTelemetry_) {
-        envTelemetry_ = obs::Telemetry::fromEnv();
-    }
-    obs::Telemetry* const tel = activeTelemetry();
+    const CampaignPlan plan = resolvePlan();
+    obs::Telemetry* const tel = plan.tel;
     const auto campaignStart = std::chrono::steady_clock::now();
 
     // Static-analysis phase: a broken design or malformed fault list fails
@@ -685,7 +819,7 @@ CampaignReport CampaignRunner::run(
     if (preflight_) {
         obs::Span span(tel, "preflight", "campaign");
         lint::Report rep = preflightReport(faults);
-        if (effectiveCheckpointCadence() > 0) {
+        if (plan.cadence > 0) {
             // Fork-from-golden restores component state through the
             // Snapshottable interface; a stateful component outside it would
             // silently resume stale (PRE006).
@@ -700,59 +834,36 @@ CampaignReport CampaignRunner::run(
         if (tel != nullptr && tel->trace() != nullptr) {
             tel->trace()->nameCurrentTrack("campaign");
         }
-        runGolden();
+        runGolden(plan);
     }
 
-    // Static fault collapsing: partition the list into provably-equivalent
-    // classes; only class representatives simulate, members expand at commit
-    // time. Purely structural (declared connectivity only), so the plan
-    // costs microseconds even for thousands of faults.
-    const bool collapsing = faultCollapsingEnabled();
-    std::unique_ptr<analyze::CollapsePlan> plan;
-    if (collapsing) {
-        obs::Span span(tel, "collapse", "campaign");
-        plan = std::make_unique<analyze::CollapsePlan>(
-            analyze::collapseFaults(*golden_, faults));
-        if (plan->collapsedRuns() == 0) {
-            plan.reset(); // nothing to save: identical to a full campaign
-        } else {
-            std::fprintf(stderr, "gfi: fault collapsing: %zu fault%s -> %zu class%s\n",
-                         faults.size(), faults.size() == 1 ? "" : "s", plan->classes(),
-                         plan->classes() == 1 ? "" : "es");
-            if (tel != nullptr) {
-                tel->metrics()
-                    .counter("gfi_runs_collapsed_total",
-                             "Campaign runs expanded from a collapse representative "
-                             "instead of simulated")
-                    .inc(plan->collapsedRuns());
-            }
+    // Source assignment: every index gets exactly one Source before the
+    // worker phase, so workers only simulate and the ordered commit only
+    // dispatches. Restored and Batched verdicts land in their report slots
+    // up front; Expanded and Simulated ones arrive at commit time.
+    CampaignReport report;
+    report.runs.resize(faults.size());
+    std::vector<Source> sources(faults.size(), Source::Simulated);
+    const std::unique_ptr<analyze::CollapsePlan> collapse =
+        plan.collapse ? planCollapse(*golden_, faults, tel) : nullptr;
+    for (std::size_t i = 0; collapse && i < faults.size(); ++i) {
+        if (!collapse->isRepresentative(i)) {
+            sources[i] = Source::Expanded;
         }
     }
-
-    // Bit-parallel backend availability. Per-run watchdog budgets cannot be
-    // metered inside a shared 64-lane word run, and fork-from-golden restores
-    // event-kernel snapshots the word kernel cannot consume — either feature
-    // falls the whole campaign back to the event-driven kernel, loudly.
-    bool batching = batchBackendEnabled();
-    if (batching && (watchdogConfig_.wallClockSeconds > 0.0 ||
-                     watchdogConfig_.digitalWaves != 0 || watchdogConfig_.analogSteps != 0)) {
-        std::fprintf(stderr, "gfi: batch: disabled (per-run watchdog budgets require "
-                             "the event-driven kernel)\n");
-        batching = false;
-    }
-    if (batching && effectiveCheckpointCadence() > 0) {
-        std::fprintf(stderr, "gfi: batch: disabled (fork-from-golden uses event-kernel "
-                             "checkpoints)\n");
-        batching = false;
+    if (plan.batchConflict != nullptr) {
+        std::fprintf(stderr, "gfi: batch: disabled (%s)\n", plan.batchConflict);
     }
 
     // Resume: index -> journal entry of an earlier (possibly killed) campaign.
+    // Restorability is decided here, serially (preflightFault is cheap
+    // registry lookups); a restored entry beats every other Source.
     std::map<std::size_t, JournalEntry> done;
     std::unique_ptr<CampaignJournal> journal;
-    std::size_t journalSkipped = 0;
+    std::size_t restored = 0;
     if (!journalPath_.empty()) {
         CampaignJournal::LoadResult loaded = CampaignJournal::loadWithStats(journalPath_);
-        journalSkipped = loaded.skippedLines;
+        report.journalSkippedLines = loaded.skippedLines;
         for (JournalEntry& e : loaded.entries) {
             done[e.index] = std::move(e); // later duplicates win
         }
@@ -762,51 +873,21 @@ CampaignReport CampaignRunner::run(
         // entries. Without one the line format stays exactly historical.
         journal->setEmbedProbes(tel != nullptr);
     }
-
-    // Decide up front (serially — preflightFault is cheap registry lookups)
-    // which journal entries are restorable, so the worker phase only ever
-    // simulates.
-    std::map<std::size_t, RunResult> restored;
-    const bool forking = effectiveCheckpointCadence() > 0;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        const auto it = done.find(i);
-        bool restorable =
-            it != done.end() && it->second.faultDescription == fault::describe(faults[i]);
-        if (restorable && preflight_ &&
-            lint::preflightFault(*golden_, faults[i], i).count(lint::Severity::Error) > 0) {
-            // A checkpoint for a fault that no longer passes preflight (e.g.
-            // a stale sim-error row) must not be resurrected.
-            restorable = false;
+    for (auto& [i, entry] : done) {
+        // Restorable: same index and fault description, and still passing
+        // preflight — a stale sim-error row must not be resurrected.
+        if (i >= faults.size() || entry.faultDescription != fault::describe(faults[i]) ||
+            (preflight_ && lint::preflightFault(*golden_, faults[i], i)
+                                   .count(lint::Severity::Error) > 0)) {
+            continue;
         }
-        if (restorable) {
-            RunResult r = it->second.result;
-            r.fault = faults[i];
-            if (!forking) {
-                // A journal written by an earlier fork-mode campaign carries
-                // fork bookkeeping; resurrecting it into a non-forking
-                // campaign would print a "forked runs" summary footer for a
-                // campaign that forked nothing.
-                r.diagnostics.checkpointTime = 0;
-                r.diagnostics.resimulatedTime = 0;
-            }
-            if (!collapsing) {
-                // Same for collapse provenance: a non-collapsing campaign
-                // must not print a "collapsed runs" footer.
-                r.diagnostics.collapsedFrom.clear();
-            }
-            if (!batching) {
-                // And for batch provenance: a journal written by a batched
-                // campaign must restore cleanly into an event-driven one.
-                r.diagnostics.batchLane = 0;
-            }
-            if (forensicsDir().empty()) {
-                // And for forensic provenance: with forensics off, restored
-                // reports must match a never-instrumented campaign's.
-                r.diagnostics.forensic.clear();
-            }
-            restored.emplace(i, std::move(r));
-        }
+        RunResult& r = report.runs[i] = std::move(entry.result);
+        r.fault = faults[i];
+        plan.scrub(r.diagnostics);
+        sources[i] = Source::Restored;
+        ++restored;
     }
+    const std::size_t journalSkipped = report.journalSkippedLines;
     // Resume log line: operators must be able to tell a clean resume from a
     // lossy one (skipped lines mean those runs re-simulate).
     if (!done.empty() || journalSkipped > 0) {
@@ -814,7 +895,7 @@ CampaignReport CampaignRunner::run(
                      "gfi: journal %s: %zu entr%s loaded, %zu restorable, %zu "
                      "torn/corrupt line%s skipped\n",
                      journalPath_.c_str(), done.size(), done.size() == 1 ? "y" : "ies",
-                     restored.size(), journalSkipped, journalSkipped == 1 ? "" : "s");
+                     restored, journalSkipped, journalSkipped == 1 ? "" : "s");
     }
     if (tel != nullptr && journalSkipped > 0) {
         tel->metrics()
@@ -822,25 +903,18 @@ CampaignReport CampaignRunner::run(
                      "Torn/corrupt journal lines skipped on resume")
             .inc(journalSkipped);
     }
+
     {
         const std::lock_guard<std::mutex> lock(liveMutex_);
         liveHistogram_.clear();
         liveCompleted_ = 0;
     }
 
-    CampaignReport report;
-    report.journalSkippedLines = journalSkipped;
-    report.runs.resize(faults.size());
-
-    // Bit-parallel pre-phase: pack the batch-eligible faults that still need
-    // simulating into 64-lane word runs. Whatever the word kernel classifies
-    // lands in `batched`; everything else (ineligible faults, ineligible
-    // designs, cross-check fallbacks) flows through the ordinary contained
-    // path below. Lane assignment ignores restoration status, so journals of
-    // interrupted batched campaigns resume with identical batch_lane keys.
-    std::map<std::size_t, RunResult> batched;
-    if (batching) {
-        obs::Span span(tel, "batch", "campaign");
+    // Bit-parallel pre-phase over the non-golden representatives. Lane
+    // assignment ignores restoration status, so journals of interrupted
+    // batched campaigns resume with identical batch_lane keys.
+    std::size_t batchedCount = 0;
+    if (plan.batch) {
         batch::BatchRequest breq;
         breq.factory = &factory_;
         breq.golden = golden_.get();
@@ -852,39 +926,18 @@ CampaignReport CampaignRunner::run(
         }
         breq.faults = &faults;
         for (std::size_t i = 0; i < faults.size(); ++i) {
-            if (fault::isGolden(faults[i]) || (plan && !plan->isRepresentative(i))) {
-                continue;
+            if (!fault::isGolden(faults[i]) && (!collapse || collapse->isRepresentative(i))) {
+                breq.candidates.push_back(i);
+                breq.needSim.push_back(sources[i] == Source::Restored ? 0 : 1);
             }
-            breq.candidates.push_back(i);
-            breq.needSim.push_back(restored.count(i) == 0 ? 1 : 0);
         }
         breq.tolerance = tolerance_;
         breq.workers = workers_;
         breq.recordTiming = recordTiming_;
-        const batch::BatchStats bstats = batch::runBatchedCampaign(breq, batched);
-        if (!bstats.designEligible) {
-            std::fprintf(stderr, "gfi: batch: event-driven fallback (%s)\n",
-                         bstats.designReason.c_str());
-        } else if (bstats.groups > 0 || !bstats.fallbacks.empty()) {
-            std::fprintf(stderr,
-                         "gfi: batch: %zu run%s word-simulated in %zu group%s, %zu "
-                         "event-driven fallback%s\n",
-                         bstats.batched, bstats.batched == 1 ? "" : "s", bstats.groups,
-                         bstats.groups == 1 ? "" : "s", bstats.fallbacks.size(),
-                         bstats.fallbacks.size() == 1 ? "" : "s");
-        }
-        if (bstats.crossCheckFailures > 0) {
-            std::fprintf(stderr,
-                         "gfi: batch: %zu group%s failed the golden cross-check and "
-                         "re-ran event-driven\n",
-                         bstats.crossCheckFailures,
-                         bstats.crossCheckFailures == 1 ? "" : "s");
-        }
-        if (tel != nullptr && bstats.batched > 0) {
-            tel->metrics()
-                .counter("gfi_runs_batched_total",
-                         "Campaign runs classified by the bit-parallel word kernel")
-                .inc(bstats.batched);
+        for (auto& [i, r] : runBatchPhase(breq, tel)) {
+            report.runs[i] = std::move(r);
+            sources[i] = Source::Batched;
+            ++batchedCount;
         }
     }
 
@@ -956,71 +1009,62 @@ CampaignReport CampaignRunner::run(
         line += "}\n";
         progressSink_(line);
     };
-    emitProgress("start", ", \"restorable\": " + std::to_string(restored.size()) +
+    emitProgress("start", ", \"restorable\": " + std::to_string(restored) +
                               ", \"collapsed_planned\": " +
-                              std::to_string(plan ? plan->collapsedRuns() : 0) +
-                              ", \"batched_planned\": " + std::to_string(batched.size()));
+                              std::to_string(collapse ? collapse->collapsedRuns() : 0) +
+                              ", \"batched_planned\": " + std::to_string(batchedCount));
 
     try {
         exec.forEachOrdered(faults.size(), [&](std::size_t i) -> core::CommitFn {
             RunResult r;
-            bool fromJournal = false;
-            bool expand = false;
-            if (const auto it = restored.find(i); it != restored.end()) {
-                // Already classified by a previous invocation: restore only.
-                r = it->second;
-                fromJournal = true;
-            } else if (const auto bt = batched.find(i); bt != batched.end()) {
-                // Classified by the bit-parallel pre-phase: commit as-is.
-                r = bt->second;
-            } else if (plan && !plan->isRepresentative(i)) {
-                // Collapse-class member: its representative (an earlier
-                // index) commits first, so the verdict is expanded inside
-                // the ordered commit, where the representative's slot is
-                // guaranteed populated.
-                expand = true;
-            } else {
+            if (sources[i] == Source::Simulated) {
                 if (tel != nullptr && tel->trace() != nullptr) {
                     tel->trace()->nameCurrentTrack(
                         "worker " + std::to_string(obs::TraceWriter::currentTrackId()));
                 }
                 obs::Span span(tel, "run #" + std::to_string(i), "campaign");
-                r = runContained(faults[i]);
+                r = runContained(faults[i], plan);
                 span.setArgs("{\"fault\": \"" + jsonEscape(fault::describe(faults[i])) +
                              "\", \"outcome\": \"" + toString(r.outcome) + "\"}");
             }
-            return [this, &report, &journal, &progress, &faults, &prog, &lastBeat,
-                    &emitProgress, plan = plan.get(), i, fromJournal, expand,
+            return [this, &report, &journal, &progress, &faults, &sources, &prog, &lastBeat,
+                    &emitProgress, collapse = collapse.get(), tel, i,
                     r = std::move(r)]() mutable {
-                if (expand) {
-                    r = expandCollapsed(report.runs[plan->repOf[i]], faults[i]);
+                RunResult& slot = report.runs[i];
+                switch (sources[i]) {
+                case Source::Restored:
+                    ++prog.restored; // already in its slot and in the journal
+                    break;
+                case Source::Batched:
+                    ++prog.batched;
+                    ++prog.executed;
+                    break;
+                case Source::Expanded:
+                    // The representative (an earlier index) has committed,
+                    // so its slot is guaranteed populated.
+                    slot = expandCollapsed(report.runs[collapse->repOf[i]], faults[i]);
+                    ++prog.collapsed;
+                    break;
+                case Source::Simulated:
+                    slot = std::move(r);
+                    ++prog.executed;
+                    break;
                 }
-                if (journal && !fromJournal) {
-                    journal->append(i, r);
+                if (journal && sources[i] != Source::Restored) {
+                    journal->append(i, slot);
                 }
                 {
                     const std::lock_guard<std::mutex> lock(liveMutex_);
-                    ++liveHistogram_[r.outcome];
+                    ++liveHistogram_[slot.outcome];
                     ++liveCompleted_;
                 }
                 // Commit-order metric application: counters only see the
                 // deterministic per-run deltas, so totals match at any
                 // worker width; restored entries re-apply their journaled
                 // deltas, reproducing the interrupted campaign's telemetry.
-                recordRunMetrics(r);
-                if (fromJournal) {
-                    ++prog.restored;
-                } else if (r.diagnostics.batchLane > 0) {
-                    ++prog.batched;
-                    ++prog.executed;
-                } else if (!r.diagnostics.collapsedFrom.empty()) {
-                    ++prog.collapsed;
-                } else {
-                    ++prog.executed;
-                }
-                report.runs[i] = std::move(r);
+                recordRunMetrics(tel, slot);
                 if (progress) {
-                    progress(i, report.runs[i]);
+                    progress(i, slot);
                 }
                 if (progressSink_) {
                     const auto beatNow = std::chrono::steady_clock::now();
@@ -1067,5 +1111,6 @@ CampaignReport CampaignRunner::run(
     }
     return report;
 }
+
 
 } // namespace gfi::campaign

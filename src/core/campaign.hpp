@@ -280,7 +280,6 @@ public:
     /// environment variable decides ("1"/non-empty = on); setFaultCollapsing
     /// beats the environment either way.
     void setFaultCollapsing(bool on) noexcept { collapseMode_ = on ? 1 : -1; }
-    [[nodiscard]] bool faultCollapsingEnabled() const;
 
     /// Bit-parallel batch backend: when enabled, run() packs batch-eligible
     /// digital faults into 64-lane word simulations (lane 0 golden, lanes
@@ -299,7 +298,6 @@ public:
     /// (unset) the GFI_BATCH environment variable decides ("1"/non-empty =
     /// on); setBatchBackend beats the environment either way.
     void setBatchBackend(bool on) noexcept { batchMode_ = on ? 1 : -1; }
-    [[nodiscard]] bool batchBackendEnabled() const;
 
     /// When disabled, diagnostics.wallSeconds, checkpointTime and
     /// resimulatedTime are recorded as 0 so journals and reports are
@@ -382,7 +380,6 @@ public:
         forensicsDir_ = std::move(dir);
         forensicsSet_ = true;
     }
-    [[nodiscard]] std::string forensicsDir() const;
 
     /// Ring capacity of the per-run flight recorder (the "last N" window).
     void setForensicsCapacity(std::size_t events) noexcept
@@ -413,29 +410,24 @@ public:
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:
+    /// Every campaign mode resolved once (setters vs. environment, batch
+    /// conflicts) — defined in campaign.cpp.
+    struct CampaignPlan;
+
+    /// The one place setters, environment variables and mode conflicts are
+    /// reconciled; run(), runOne() and runGolden() each start here.
+    [[nodiscard]] CampaignPlan resolvePlan();
+
+    /// runGolden() under an already resolved plan (fork cadence, sink).
+    void runGolden(const CampaignPlan& plan);
+
     /// One contained attempt: build, arm, run under the watchdog, classify.
-    RunResult attemptOne(const fault::FaultSpec& fault, int attempt);
+    RunResult attemptOne(const fault::FaultSpec& fault, int attempt, const CampaignPlan& plan);
 
     /// runOne() minus the golden-run bootstrap — the worker entry point:
     /// requires runGolden() to have completed, touches only run-local state
     /// plus the read-only golden reference.
-    RunResult runContained(const fault::FaultSpec& fault);
-
-    /// Resolves the fork-from-golden cadence: the explicit setting when
-    /// positive, else GFI_CHECKPOINT (seconds), else 0 (disabled).
-    [[nodiscard]] SimTime effectiveCheckpointCadence() const;
-
-    /// The sink instrumentation sites use: the attached one, else the
-    /// environment-built one while run() executes, else nullptr (no-op).
-    [[nodiscard]] obs::Telemetry* activeTelemetry() const noexcept
-    {
-        return telemetry_ != nullptr ? telemetry_ : envTelemetry_.get();
-    }
-
-    /// Applies one committed run to the metrics registry (outcome/attempt
-    /// counters, kernel-probe deltas, fork savings). Called in commit order;
-    /// only counter/gauge folds, so totals are worker-width invariant.
-    void recordRunMetrics(const RunResult& r);
+    RunResult runContained(const fault::FaultSpec& fault, const CampaignPlan& plan);
 
     fault::TestbenchFactory factory_;
     Tolerance tolerance_;

@@ -1,103 +1,49 @@
 #include "core/journal.hpp"
 
 #include "core/report.hpp"
+#include "util/json.hpp"
 #include "util/units.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 namespace gfi::campaign {
 
 namespace {
 
-// --- tiny parsers for the journal's own line format ------------------------
-// The writer below is the only producer, so these only need to handle the
-// exact shape entryToJson emits (plus escaped strings).
+// Optional members of a journal line: an absent key keeps the default (older
+// journals lack the newer keys); a present key of the wrong type throws, and
+// parseLine() skips the line.
 
-bool findKey(const std::string& line, const std::string& key, std::size_t& pos)
+void read(const util::JsonValue& obj, const char* key, std::string& out)
 {
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos) {
-        return false;
+    if (const util::JsonValue* v = obj.find(key)) {
+        out = v->asString();
     }
-    pos = at + needle.size();
-    return true;
 }
 
-/// Parses a quoted string starting at line[pos] == '"'; on success @p pos is
-/// advanced past the closing quote.
-bool parseString(const std::string& line, std::size_t& pos, std::string& out)
+void read(const util::JsonValue& obj, const char* key, double& out)
 {
-    if (pos >= line.size() || line[pos] != '"') {
-        return false;
+    if (const util::JsonValue* v = obj.find(key)) {
+        out = v->asNumber();
     }
-    out.clear();
-    for (std::size_t i = pos + 1; i < line.size(); ++i) {
-        const char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            const char next = line[++i];
-            out += next == 'n' ? '\n' : next;
-        } else if (c == '"') {
-            pos = i + 1;
-            return true;
-        } else {
-            out += c;
+}
+
+template <typename Int>
+void read(const util::JsonValue& obj, const char* key, Int& out)
+{
+    if (const util::JsonValue* v = obj.find(key)) {
+        out = v->asInteger<Int>();
+    }
+}
+
+void read(const util::JsonValue& obj, const char* key, std::vector<std::string>& out)
+{
+    if (const util::JsonValue* v = obj.find(key)) {
+        out.clear();
+        for (const util::JsonValue& item : v->asArray()) {
+            out.push_back(item.asString());
         }
     }
-    return false; // unterminated
-}
-
-bool getString(const std::string& line, const std::string& key, std::string& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos)) {
-        return false;
-    }
-    return parseString(line, pos, out);
-}
-
-bool getDouble(const std::string& line, const std::string& key, double& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos)) {
-        return false;
-    }
-    out = std::strtod(line.c_str() + pos, nullptr);
-    return true;
-}
-
-bool getInt(const std::string& line, const std::string& key, long long& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos)) {
-        return false;
-    }
-    out = std::strtoll(line.c_str() + pos, nullptr, 10);
-    return true;
-}
-
-bool getStringArray(const std::string& line, const std::string& key,
-                    std::vector<std::string>& out)
-{
-    std::size_t pos = 0;
-    if (!findKey(line, key, pos) || pos >= line.size() || line[pos] != '[') {
-        return false;
-    }
-    out.clear();
-    ++pos;
-    while (pos < line.size() && line[pos] != ']') {
-        if (line[pos] == '"') {
-            std::string item;
-            if (!parseString(line, pos, item)) {
-                return false;
-            }
-            out.push_back(std::move(item));
-        } else {
-            ++pos;
-        }
-    }
-    return pos < line.size();
 }
 
 std::string quoted(const std::string& s)
@@ -214,98 +160,65 @@ void CampaignJournal::append(std::size_t index, const RunResult& result)
 
 std::optional<JournalEntry> CampaignJournal::parseLine(const std::string& line)
 {
-    JournalEntry e;
-    long long index = -1;
-    std::string outcomeName;
-    // A record is only trusted when complete: a torn line (killed campaign)
-    // may still contain index/fault/outcome but miss the metrics, and must
+    // A record is only trusted when it is one whole, well-typed JSON object:
+    // a line torn by a kill mid-append, or one with a corrupted value, must
     // be re-simulated rather than restored with defaulted fields.
-    if (line.empty() || line.back() != '}') {
-        return std::nullopt;
-    }
-    if (!getInt(line, "index", index) || index < 0 ||
-        !getString(line, "fault", e.faultDescription) ||
-        !getString(line, "outcome", outcomeName) ||
-        !outcomeFromString(outcomeName, e.result.outcome)) {
-        return std::nullopt;
-    }
-    e.index = static_cast<std::size_t>(index);
+    JournalEntry e;
+    RunResult& r = e.result;
+    RunDiagnostics& d = r.diagnostics;
+    try {
+        const util::JsonValue doc = util::parseJson(line);
+        const util::JsonValue* index = doc.find("index");
+        const util::JsonValue* fault = doc.find("fault");
+        const util::JsonValue* outcome = doc.find("outcome");
+        if (index == nullptr || fault == nullptr || outcome == nullptr ||
+            !outcomeFromString(outcome->asString(), r.outcome)) {
+            return std::nullopt;
+        }
+        e.index = index->asInteger<std::size_t>();
+        e.faultDescription = fault->asString();
+        read(doc, "attempts", d.attempts);
+        read(doc, "error", d.error);
+        read(doc, "wall_s", d.wallSeconds);
+        read(doc, "digital_waves", d.digitalWaves);
+        read(doc, "analog_steps", d.analogSteps);
+        read(doc, "checkpoint_fs", d.checkpointTime);
+        read(doc, "resim_fs", d.resimulatedTime);
+        read(doc, "first_output_error_fs", r.firstOutputError);
+        read(doc, "last_output_error_end_fs", r.lastOutputErrorEnd);
+        read(doc, "total_output_error_fs", r.totalOutputErrorTime);
+        read(doc, "max_analog_deviation_v", r.maxAnalogDeviation);
+        read(doc, "analog_time_outside_tol_s", r.analogTimeOutsideTol);
+        read(doc, "erred_signals", r.erredSignals);
+        read(doc, "corrupted_state", r.corruptedState);
+        read(doc, "collapsed_from", d.collapsedFrom);
+        read(doc, "batch_lane", d.batchLane);
+        read(doc, "forensic", d.forensic);
 
-    long long ll = 0;
-    double d = 0.0;
-    if (getInt(line, "attempts", ll)) {
-        e.result.diagnostics.attempts = static_cast<int>(ll);
-    }
-    (void)getString(line, "error", e.result.diagnostics.error);
-    if (getDouble(line, "wall_s", d)) {
-        e.result.diagnostics.wallSeconds = d;
-    }
-    if (getInt(line, "digital_waves", ll)) {
-        e.result.diagnostics.digitalWaves = static_cast<std::uint64_t>(ll);
-    }
-    if (getInt(line, "analog_steps", ll)) {
-        e.result.diagnostics.analogSteps = static_cast<std::uint64_t>(ll);
-    }
-    if (getInt(line, "checkpoint_fs", ll)) {
-        e.result.diagnostics.checkpointTime = ll;
-    }
-    if (getInt(line, "resim_fs", ll)) {
-        e.result.diagnostics.resimulatedTime = ll;
-    }
-    if (getInt(line, "first_output_error_fs", ll)) {
-        e.result.firstOutputError = ll;
-    }
-    if (getInt(line, "last_output_error_end_fs", ll)) {
-        e.result.lastOutputErrorEnd = ll;
-    }
-    if (getInt(line, "total_output_error_fs", ll)) {
-        e.result.totalOutputErrorTime = ll;
-    }
-    if (getDouble(line, "max_analog_deviation_v", d)) {
-        e.result.maxAnalogDeviation = d;
-    }
-    if (getDouble(line, "analog_time_outside_tol_s", d)) {
-        e.result.analogTimeOutsideTol = d;
-    }
-    (void)getStringArray(line, "erred_signals", e.result.erredSignals);
-    (void)getStringArray(line, "corrupted_state", e.result.corruptedState);
-    (void)getString(line, "collapsed_from", e.result.diagnostics.collapsedFrom);
-    if (getInt(line, "batch_lane", ll)) {
-        e.result.diagnostics.batchLane = static_cast<int>(ll);
-    }
-    (void)getString(line, "forensic", e.result.diagnostics.forensic);
-
-    // Optional probes object (lines written with a telemetry sink attached).
-    // Keys are globally unique within a line, so the flat key scan works on
-    // the nested object too.
-    std::size_t probesAt = 0;
-    if (findKey(line, "probes", probesAt)) {
-        obs::ProbeSnapshot& p = e.result.diagnostics.probes;
-        p.valid = true;
-        auto u64 = [&](const char* key, std::uint64_t& out) {
-            long long v = 0;
-            if (getInt(line, key, v) && v >= 0) {
-                out = static_cast<std::uint64_t>(v);
+        // Optional probes object (lines written with a telemetry sink attached).
+        if (const util::JsonValue* probes = doc.find("probes")) {
+            if (!probes->isObject()) {
+                return std::nullopt;
             }
-        };
-        u64("digital_events", p.digitalEvents);
-        u64("delta_cycles", p.deltaCycles);
-        u64("queue_high_water", p.queueHighWater);
-        u64("pending_events", p.pendingEvents);
-        u64("analog_accepted", p.analogAcceptedSteps);
-        u64("analog_rejected", p.analogRejectedSteps);
-        u64("newton_iterations", p.newtonIterations);
-        u64("companion_rebuilds", p.companionRebuilds);
-        u64("atod_crossings", p.atodCrossings);
-        u64("dtoa_events", p.dtoaEvents);
-        if (getDouble(line, "min_dt_s", d)) {
-            p.minAcceptedDt = d;
+            obs::ProbeSnapshot& p = d.probes;
+            p.valid = true;
+            read(*probes, "digital_events", p.digitalEvents);
+            read(*probes, "delta_cycles", p.deltaCycles);
+            read(*probes, "queue_high_water", p.queueHighWater);
+            read(*probes, "pending_events", p.pendingEvents);
+            read(*probes, "analog_accepted", p.analogAcceptedSteps);
+            read(*probes, "analog_rejected", p.analogRejectedSteps);
+            read(*probes, "newton_iterations", p.newtonIterations);
+            read(*probes, "companion_rebuilds", p.companionRebuilds);
+            read(*probes, "min_dt_s", p.minAcceptedDt);
+            read(*probes, "last_dt_s", p.lastAcceptedDt);
+            read(*probes, "atod_crossings", p.atodCrossings);
+            read(*probes, "dtoa_events", p.dtoaEvents);
         }
-        if (getDouble(line, "last_dt_s", d)) {
-            p.lastAcceptedDt = d;
-        }
+    } catch (const std::runtime_error&) {
+        return std::nullopt;
     }
-    e.result.diagnostics.fromJournal = true;
+    d.fromJournal = true;
     return e;
 }
 

@@ -57,7 +57,9 @@ public:
     [[nodiscard]] static std::string entryToJson(std::size_t index, const RunResult& result,
                                                  bool embedProbes = false);
 
-    /// Parses one journal line; std::nullopt on malformed input.
+    /// Parses one journal line; std::nullopt on malformed input: not one
+    /// JSON object, no index/fault/outcome, or a known key of the wrong type
+    /// (integers must be whole and within 2^53).
     [[nodiscard]] static std::optional<JournalEntry> parseLine(const std::string& line);
 
     /// What loadWithStats() found: the well-formed entries plus how many

@@ -8,28 +8,6 @@
 
 namespace gfi::campaign {
 
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 void writeReportCsv(const CampaignReport& report, const std::string& path,
                     const CsvOptions& options)
 {

@@ -4,6 +4,7 @@
 // regression tracking (the "failure report" artifact of the paper's flow).
 
 #include "core/campaign.hpp"
+#include "util/json.hpp"
 
 namespace gfi::campaign {
 
@@ -28,8 +29,7 @@ void writeReportJson(const CampaignReport& report, const std::string& path);
 /// embedding into other documents).
 [[nodiscard]] std::string reportToJson(const CampaignReport& report);
 
-/// Escapes a string for embedding in JSON output (shared with the campaign
-/// journal writer).
-[[nodiscard]] std::string jsonEscape(const std::string& s);
+/// The repo-wide JSON string escaper, under its historical campaign name.
+using util::jsonEscape;
 
 } // namespace gfi::campaign

@@ -3,8 +3,8 @@
 #include "core/report.hpp"
 #include "io/sha256.hpp"
 #include "lint/preflight.hpp"
+#include "util/json.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,45 +15,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// --- tiny flat-JSON field scanners (same approach as the journal reader:
-// the writer below is the only producer, so only its exact shape matters) ---
-
-bool getJsonString(const std::string& doc, const std::string& key, std::string& out)
-{
-    const std::string needle = "\"" + key + "\": \"";
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos) {
-        return false;
-    }
-    out.clear();
-    for (std::size_t i = at + needle.size(); i < doc.size(); ++i) {
-        const char c = doc[i];
-        if (c == '\\' && i + 1 < doc.size()) {
-            const char next = doc[++i];
-            out += next == 'n' ? '\n' : next;
-        } else if (c == '"') {
-            return true;
-        } else {
-            out += c;
-        }
-    }
-    return false; // unterminated
-}
-
-bool getJsonInt(const std::string& doc, const std::string& key, long long& out)
-{
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = doc.find(needle);
-    if (at == std::string::npos) {
-        return false;
-    }
-    out = std::strtoll(doc.c_str() + at + needle.size(), nullptr, 10);
-    return true;
-}
-
 std::string quoted(const std::string& s)
 {
-    return "\"" + campaign::jsonEscape(s) + "\"";
+    return "\"" + util::jsonEscape(s) + "\"";
 }
 
 std::string readFileOrThrow(const fs::path& path)
@@ -65,6 +29,37 @@ std::string readFileOrThrow(const fs::path& path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/// Member @p key of a store document; throws std::runtime_error when absent.
+const util::JsonValue& member(const util::JsonValue& doc, const char* key)
+{
+    const util::JsonValue* v = doc.find(key);
+    if (v == nullptr) {
+        throw std::runtime_error(std::string("missing \"") + key + "\"");
+    }
+    return *v;
+}
+
+/// The digest triple a meta.json records.
+CacheKey recordedKey(const util::JsonValue& meta)
+{
+    return CacheKey{member(meta, "netlist").asString(), member(meta, "stimulus").asString(),
+                    member(meta, "faults").asString()};
+}
+
+/// Parses the store document at @p path and hands it to @p read. A document
+/// that is not JSON, or lacks a member of the type @p read asks for, is a
+/// GoldenStoreError: "golden store: malformed <what>".
+template <typename Read>
+auto readStoreJson(const fs::path& path, const std::string& what, Read read)
+{
+    const std::string text = readFileOrThrow(path);
+    try {
+        return read(util::parseJson(text));
+    } catch (const std::runtime_error&) {
+        throw GoldenStoreError("golden store: malformed " + what);
+    }
 }
 
 void writeFileOrThrow(const fs::path& path, const std::string& content)
@@ -141,21 +136,17 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
     if (!fs::exists(dir / "meta.json")) {
         return std::nullopt;
     }
-    const std::string meta = readFileOrThrow(dir / "meta.json");
-
     StoreEntry entry;
     std::string verdictsSha;
     std::string reportSha;
-    long long runs = -1;
-    if (!getJsonString(meta, "netlist", entry.key.netlistDigest) ||
-        !getJsonString(meta, "stimulus", entry.key.stimulusDigest) ||
-        !getJsonString(meta, "faults", entry.key.faultDigest) ||
-        !getJsonString(meta, "circuit", entry.circuitName) ||
-        !getJsonString(meta, "verdicts_sha256", verdictsSha) ||
-        !getJsonString(meta, "report_sha256", reportSha) ||
-        !getJsonInt(meta, "runs", runs) || runs < 0) {
-        throw GoldenStoreError("golden store: malformed meta.json in entry " + combined);
-    }
+    const auto runs = readStoreJson(
+        dir / "meta.json", "meta.json in entry " + combined, [&](const util::JsonValue& meta) {
+            entry.key = recordedKey(meta);
+            entry.circuitName = member(meta, "circuit").asString();
+            verdictsSha = member(meta, "verdicts_sha256").asString();
+            reportSha = member(meta, "report_sha256").asString();
+            return member(meta, "runs").asInteger<std::size_t>();
+        });
     // The entry must be the one this key addresses — a moved/tampered object
     // directory is corruption, not a miss.
     if (entry.key.netlistDigest != key.netlistDigest ||
@@ -192,7 +183,7 @@ std::optional<StoreEntry> GoldenStore::lookup(const CacheKey& key) const
         }
         entry.verdicts.push_back(std::move(*parsed));
     }
-    if (entry.verdicts.size() != static_cast<std::size_t>(runs)) {
+    if (entry.verdicts.size() != runs) {
         throw GoldenStoreError("golden store: entry " + combined + " records " +
                                std::to_string(runs) + " runs but holds " +
                                std::to_string(entry.verdicts.size()) + " verdicts");
@@ -267,14 +258,12 @@ std::optional<NamePointer> GoldenStore::namePointer(const std::string& circuitNa
     if (!fs::exists(path)) {
         return std::nullopt;
     }
-    const std::string doc = readFileOrThrow(path);
-    NamePointer p;
-    if (!getJsonString(doc, "circuit", p.circuitName) ||
-        !getJsonString(doc, "netlist", p.netlistDigest) ||
-        !getJsonString(doc, "key", p.key)) {
-        throw GoldenStoreError("golden store: malformed name pointer " + path.string());
-    }
-    return p;
+    return readStoreJson(path, "name pointer " + path.string(),
+                         [](const util::JsonValue& doc) {
+                             return NamePointer{member(doc, "circuit").asString(),
+                                                member(doc, "netlist").asString(),
+                                                member(doc, "key").asString()};
+                         });
 }
 
 std::optional<StoreEntry> GoldenStore::lookupByName(
@@ -297,15 +286,8 @@ std::optional<StoreEntry> GoldenStore::lookupByName(
         throw GoldenStoreError("golden store: name pointer for '" + circuitName +
                                "' references missing entry " + pointer->key);
     }
-    const std::string meta = readFileOrThrow(dir / "meta.json");
-    CacheKey key;
-    if (!getJsonString(meta, "netlist", key.netlistDigest) ||
-        !getJsonString(meta, "stimulus", key.stimulusDigest) ||
-        !getJsonString(meta, "faults", key.faultDigest)) {
-        throw GoldenStoreError("golden store: malformed meta.json in entry " +
-                               pointer->key);
-    }
-    return lookup(key);
+    return lookup(readStoreJson(dir / "meta.json", "meta.json in entry " + pointer->key,
+                                recordedKey));
 }
 
 CachedCampaign runCampaignCached(

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace gfi::util {
@@ -202,7 +203,11 @@ private:
         if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
             fail("bad number");
         }
-        return JsonValue(std::strtod(text_.c_str() + start, nullptr));
+        const double value = std::strtod(text_.c_str() + start, nullptr);
+        if (!std::isfinite(value)) {
+            fail("number out of range");
+        }
+        return JsonValue(value);
     }
 
     JsonValue parseValue(int depth)
@@ -285,6 +290,41 @@ private:
 JsonValue parseJson(const std::string& text)
 {
     return Parser(text).parseDocument();
+}
+
+std::string jsonEscape(const std::string& s)
+{
+    std::string out;
+    out.reserve(s.size() + 8);
+    for (const char c : s) {
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace gfi::util

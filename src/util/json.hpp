@@ -1,14 +1,17 @@
 #pragma once
-// Minimal JSON value model + recursive-descent parser.
+// Minimal JSON value model + recursive-descent parser, and the one string
+// escaper every JSON writer in the repo uses.
 //
-// The repo emits plenty of JSON (reports, journals, traces, benchmarks) but
-// until benchdiff nothing needed to READ arbitrary JSON back. This is the
-// smallest standard-compliant reader that covers that: all JSON types,
-// standard escapes including \uXXXX (encoded as UTF-8), nesting-depth bound,
+// This is the only JSON reader: benchdiff, the campaign journal and the
+// golden-store metadata all go through parseJson. It is the smallest
+// standard-compliant reader that covers them: all JSON types, standard
+// escapes including \uXXXX (encoded as UTF-8), nesting-depth bound,
 // order-preserving objects (so round-tripped key order is inspectable).
 // Throws std::runtime_error with a byte offset on malformed input.
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -52,6 +55,22 @@ public:
 
     [[nodiscard]] bool asBool() const { return require(Type::Bool), bool_; }
     [[nodiscard]] double asNumber() const { return require(Type::Number), num_; }
+
+    /// A Number holding a whole value of magnitude <= 2^53 (the integers a
+    /// double stores exactly) that fits @p T; throws std::runtime_error
+    /// otherwise, so a corrupt count is rejected instead of truncated.
+    template <typename T>
+    [[nodiscard]] T asInteger() const
+    {
+        const double d = asNumber();
+        if (d != std::trunc(d) || std::fabs(d) > 9007199254740992.0 ||
+            d < static_cast<double>(std::numeric_limits<T>::min()) ||
+            d > static_cast<double>(std::numeric_limits<T>::max())) {
+            throw std::runtime_error("JsonValue: not an exact integer in range");
+        }
+        return static_cast<T>(d);
+    }
+
     [[nodiscard]] const std::string& asString() const
     {
         return require(Type::String), str_;
@@ -93,7 +112,13 @@ private:
 };
 
 /// Parses one JSON document (leading/trailing whitespace allowed, nothing
-/// else after the value). Throws std::runtime_error on malformed input.
+/// else after the value). Throws std::runtime_error on malformed input,
+/// including numbers that overflow a double.
 [[nodiscard]] JsonValue parseJson(const std::string& text);
+
+/// Escapes @p s for the inside of a JSON string literal: quote, backslash,
+/// \n, \t and \r by name, every other byte below 0x20 as \u00XX, all other
+/// bytes verbatim — so parseJson reads back exactly @p s.
+[[nodiscard]] std::string jsonEscape(const std::string& s);
 
 } // namespace gfi::util

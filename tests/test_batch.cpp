@@ -22,6 +22,7 @@
 #include "duts/chain_dut.hpp"
 #include "duts/cpu_system.hpp"
 #include "duts/digital_dut.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -485,6 +486,100 @@ TEST(BatchCampaign, ResumeReproducesUninterruptedRun)
         EXPECT_EQ(report.runs[i].diagnostics.batchLane,
                   reference.report.runs[i].diagnostics.batchLane)
             << "fault " << i << ": lane provenance not resume-invariant";
+    }
+}
+
+// Collapse and batch together give the ordered commit all four verdict
+// sources at once: journal-restored rows, word-kernel verdicts, expanded
+// collapse members and event-driven runs. The DigitalDut list gains a second
+// copy of every saboteur fault (a sampled campaign drawing the same site and
+// instant twice), which collapses onto the first. A campaign killed halfway
+// (its journal cut to the first half of its lines) and resumed at 1 and 4
+// workers must reproduce the uninterrupted journal and JSON report, and the
+// progress stream must account for every run exactly once.
+TEST(BatchCampaign, CollapsedBatchedResumeReproducesUninterruptedRun)
+{
+    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    auto faults = digitalDutFaults();
+    const std::size_t original = faults.size();
+    for (std::size_t i = 0; i < original; ++i) {
+        if (std::holds_alternative<fault::StuckAtFault>(faults[i]) ||
+            std::holds_alternative<fault::DigitalPulseFault>(faults[i])) {
+            faults.push_back(faults[i]);
+        }
+    }
+    const CampaignOutput reference = runOne(factory, faults, 1, true, true, "combined_ref");
+    ASSERT_NE(reference.journal.find("\"batch_lane\""), std::string::npos);
+    ASSERT_NE(reference.journal.find("\"collapsed_from\""), std::string::npos);
+
+    std::size_t cut = 0;
+    for (std::size_t line = 0; line < faults.size() / 2; ++line) {
+        cut = reference.journal.find('\n', cut) + 1;
+    }
+    const std::string killed = reference.journal.substr(0, cut);
+
+    for (const unsigned workers : {1u, 4u}) {
+        const std::string where = "workers=" + std::to_string(workers);
+        const std::string path = ::testing::TempDir() + "gfi_batch_combined_resume_" +
+                                 std::to_string(workers) + ".jsonl";
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << killed;
+        }
+        std::string doneLine;
+        CampaignRunner resumed(factory);
+        resumed.setWorkers(workers);
+        resumed.setRecordTiming(false);
+        resumed.setJournalPath(path);
+        resumed.setBatchBackend(true);
+        resumed.setFaultCollapsing(true);
+        resumed.setProgressSink(
+            [&doneLine](const std::string& line) {
+                if (line.find("\"event\": \"done\"") != std::string::npos) {
+                    doneLine = line;
+                }
+            },
+            0.0);
+        const CampaignReport report = resumed.run(faults);
+        EXPECT_EQ(slurp(path), reference.journal) << where;
+        std::remove(path.c_str());
+
+        // Restored rows carry "from_journal": true by design; nothing else
+        // may differ from the uninterrupted run.
+        std::string json = reportToJson(report);
+        const std::string flag = ", \"from_journal\": true";
+        for (std::size_t at = json.find(flag); at != std::string::npos; at = json.find(flag)) {
+            json.erase(at, flag.size());
+        }
+        EXPECT_EQ(json, reference.json) << where;
+
+        std::size_t restored = 0;
+        std::size_t batched = 0;
+        std::size_t collapsed = 0;
+        std::size_t executed = 0;
+        for (const RunResult& r : report.runs) {
+            const RunDiagnostics& d = r.diagnostics;
+            restored += d.fromJournal ? 1 : 0;
+            batched += !d.fromJournal && d.batchLane > 0 ? 1 : 0;
+            collapsed += !d.fromJournal && !d.collapsedFrom.empty() ? 1 : 0;
+            executed += !d.fromJournal && d.batchLane == 0 && d.collapsedFrom.empty() ? 1 : 0;
+        }
+        EXPECT_GT(restored, 0u) << where;
+        EXPECT_GT(batched, 0u) << where;
+        EXPECT_GT(collapsed, 0u) << where;
+        EXPECT_GT(executed, 0u) << where;
+        util::JsonValue done;
+        ASSERT_NO_THROW(done = util::parseJson(doneLine)) << where << ": " << doneLine;
+        const auto field = [&done](const char* key) {
+            return done.find(key)->asInteger<std::size_t>();
+        };
+        EXPECT_EQ(field("restored"), restored) << where;
+        EXPECT_EQ(field("batched"), batched) << where;
+        EXPECT_EQ(field("collapsed"), collapsed) << where;
+        EXPECT_EQ(field("restored") + field("batched") + field("collapsed") + executed,
+                  field("total"))
+            << where;
+        EXPECT_EQ(field("completed"), field("total")) << where;
     }
 }
 

@@ -10,7 +10,11 @@
 #include "analog/sources.hpp"
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
+#include "core/report.hpp"
 #include "duts/digital_dut.hpp"
+#include "pll/pll.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
@@ -245,6 +249,115 @@ TEST(CampaignRobustness, JournalEntryRoundTrips)
 
     EXPECT_FALSE(CampaignJournal::parseLine("not json").has_value());
     EXPECT_FALSE(CampaignJournal::parseLine("").has_value());
+    // Typed fields: a non-integer index and trailing garbage are corruption,
+    // not verdicts.
+    EXPECT_FALSE(
+        CampaignJournal::parseLine(R"({"index": "x", "fault": "golden", "outcome": "failure"})")
+            .has_value());
+    EXPECT_FALSE(
+        CampaignJournal::parseLine(R"({"index": 2.9, "fault": "golden", "outcome": "failure"})")
+            .has_value());
+    EXPECT_FALSE(CampaignJournal::parseLine(
+                     R"({"index": 3, "fault": "golden", "outcome": "failure" garbage })")
+                     .has_value());
+}
+
+// Control characters in a contained failure's message must survive the
+// journal and the JSON report as valid, exactly round-tripping JSON.
+TEST(CampaignRobustness, JournalAndReportEscapeControlCharacters)
+{
+    RunResult r;
+    r.fault = fault::BitFlipFault{"dut/cnt", 3, 17 * kNanosecond};
+    r.outcome = Outcome::SimError;
+    r.diagnostics.error = "bad\tthing\x01";
+
+    const std::string line = CampaignJournal::entryToJson(5, r);
+    EXPECT_NO_THROW((void)util::parseJson(line)) << line;
+    const auto parsed = CampaignJournal::parseLine(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(parsed->result.diagnostics.error, r.diagnostics.error);
+
+    CampaignReport report;
+    report.runs.push_back(r);
+    const std::string json = reportToJson(report);
+    util::JsonValue doc;
+    ASSERT_NO_THROW(doc = util::parseJson(json)) << json;
+    EXPECT_EQ(doc.find("runs")->asArray().at(0).find("error")->asString(), r.diagnostics.error);
+
+    // Every byte below 0x80 round-trips through the one escaper.
+    std::string all;
+    for (int c = 1; c < 0x80; ++c) {
+        all += static_cast<char>(c);
+    }
+    EXPECT_EQ(util::parseJson("\"" + util::jsonEscape(all) + "\"").asString(), all);
+}
+
+// Seeded byte edits over real journal lines (a DigitalDut bit flip and a PLL
+// current pulse, both with probes and a forensic key): every mutated line is
+// either skipped or restores an entry that re-renders as parseable JSON.
+TEST(CampaignRobustness, JournalMutationsAreSkippedOrReparse)
+{
+    CampaignRunner dut([] { return std::make_unique<duts::DigitalDutTestbench>(); });
+    RunResult dutRun = dut.runOne(fault::BitFlipFault{"dut/cnt", 1, 2 * kMicrosecond});
+    dutRun.diagnostics.forensic = "forensics/run-0123456789abcdef-a1";
+
+    pll::PllConfig cfg;
+    cfg.duration = 4 * kMicrosecond;
+    CampaignRunner pllRunner([cfg] { return std::make_unique<pll::PllTestbench>(cfg); });
+    auto pulse = std::make_shared<fault::TrapezoidPulse>(2e-3, 300e-12, 300e-12, 1e-9);
+    RunResult pllRun =
+        pllRunner.runOne(fault::CurrentPulseFault{pll::names::kSabFilter, 2e-6, pulse});
+    pllRun.diagnostics.forensic = "forensics/run-fedcba9876543210-a2";
+
+    ASSERT_TRUE(dutRun.diagnostics.probes.valid);
+    ASSERT_TRUE(pllRun.diagnostics.probes.valid);
+    const std::string seeds[] = {CampaignJournal::entryToJson(17, dutRun, true),
+                                 CampaignJournal::entryToJson(3, pllRun, true)};
+    for (const std::string& line : seeds) {
+        ASSERT_TRUE(CampaignJournal::parseLine(line).has_value()) << line;
+        ASSERT_NE(line.find("\"probes\""), std::string::npos);
+        ASSERT_NE(line.find("\"forensic\""), std::string::npos);
+    }
+
+    // Half the edits write JSON punctuation and digits, so many mutants stay
+    // parseable and exercise the typed reads rather than the tokenizer.
+    const std::string jsonish = "0123456789-+.eE\"\\{}[],: tfnu";
+    Rng rng(20261017);
+    std::size_t skipped = 0;
+    std::size_t restored = 0;
+    for (int round = 0; round < 2000; ++round) {
+        std::string line = seeds[round % 2];
+        const std::uint64_t edits = 1 + rng.below(3);
+        for (std::uint64_t e = 0; e < edits; ++e) {
+            const char byte = rng.chance(0.5)
+                                  ? jsonish[rng.below(jsonish.size())]
+                                  : static_cast<char>(rng.below(256));
+            const std::size_t at = rng.below(line.size());
+            switch (rng.below(3)) {
+            case 0:
+                line[at] = byte;
+                break;
+            case 1:
+                line.insert(at, 1, byte);
+                break;
+            default:
+                line.erase(at, 1);
+                break;
+            }
+        }
+        const auto parsed = CampaignJournal::parseLine(line);
+        if (!parsed) {
+            ++skipped;
+            continue;
+        }
+        ++restored;
+        const std::string again =
+            CampaignJournal::entryToJson(parsed->index, parsed->result, true);
+        EXPECT_NO_THROW((void)util::parseJson(again)) << "mutant: " << line << "\nre-rendered: "
+                                                      << again;
+    }
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(restored, 0u);
 }
 
 TEST(CampaignRobustness, JournalResumeSkipsCompletedFaults)
