@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 
 namespace gfi::analyze {
 
@@ -32,6 +33,7 @@ int SignalGraph::addNode(const SignalBase* s)
     n.signal = s;
     nodes_.push_back(n);
     readers_.emplace_back();
+    drivers_.emplace_back();
     return idx;
 }
 
@@ -68,7 +70,11 @@ void SignalGraph::buildNodes(const fault::Testbench& tb)
         processes_.push_back(&c);
         processByName_.emplace(c.process->name(), &c);
         for (SignalBase* s : c.drives) {
-            nodes_[static_cast<std::size_t>(addNode(s))].driven = true;
+            const auto idx = static_cast<std::size_t>(addNode(s));
+            nodes_[idx].driven = true;
+            if (drivers_[idx].empty() || drivers_[idx].back() != &c) {
+                drivers_[idx].push_back(&c);
+            }
         }
         for (SignalBase* s : inputsOf(c)) {
             const int idx = addNode(s);
@@ -105,7 +111,7 @@ void SignalGraph::levelize()
     // the levels (their outputs are level-0 sources), mirroring how DIG001
     // excludes them from the cycle check.
     std::vector<const ProcessConnectivity*> comb;
-    std::map<const ProcessConnectivity*, int> combIndex;
+    std::unordered_map<const ProcessConnectivity*, int> combIndex;
     for (const ProcessConnectivity* c : processes_) {
         if (!c->sequential) {
             combIndex[c] = static_cast<int>(comb.size());
@@ -220,18 +226,7 @@ void SignalGraph::markObservable(const fault::Testbench& tb)
     while (!queue.empty()) {
         const int node = queue.front();
         queue.pop_front();
-        // Find every process driving this node and mark its inputs.
-        for (const ProcessConnectivity* p : processes_) {
-            bool drivesNode = false;
-            for (SignalBase* s : p->drives) {
-                if (indexOf(s) == node) {
-                    drivesNode = true;
-                    break;
-                }
-            }
-            if (!drivesNode) {
-                continue;
-            }
+        for (const ProcessConnectivity* p : drivers_[static_cast<std::size_t>(node)]) {
             for (SignalBase* s : inputsOf(*p)) {
                 enqueue(indexOf(s));
             }

@@ -21,6 +21,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace gfi::fault {
@@ -125,10 +126,13 @@ private:
     const fault::Testbench* tb_;
     const digital::Circuit* circuit_;
     std::vector<NodeInfo> nodes_;
-    std::map<const digital::SignalBase*, int> index_;
+    std::unordered_map<const digital::SignalBase*, int> index_;
     std::vector<const digital::ProcessConnectivity*> processes_;
     std::map<std::string, const digital::ProcessConnectivity*> processByName_;
     std::vector<std::vector<const digital::ProcessConnectivity*>> readers_;
+    /// Per node: the processes driving it, in connectivity order (the
+    /// backward observability closure walks these instead of every process).
+    std::vector<std::vector<const digital::ProcessConnectivity*>> drivers_;
     std::vector<std::string> observedStateHooks_;
     int maxLevel_ = 0;
     std::size_t cyclicSignals_ = 0;

@@ -2,6 +2,7 @@
 
 #include "batch/word_sim.hpp"
 #include "core/executor.hpp"
+#include "obs/telemetry.hpp"
 #include "trace/compare.hpp"
 
 #include <algorithm>
@@ -48,23 +49,22 @@ CollapsedTrace collapse(const trace::DigitalTrace& t)
     return c;
 }
 
-/// Lane @p lane of the word simulation's observed slot @p obs as a
-/// DigitalTrace the production comparator understands.
-trace::DigitalTrace laneTrace(const WordSim& sim, int obs, int lane,
-                              const std::string& name)
+/// The golden run's observed traces, looked up and collapsed once per
+/// campaign and shared read-only by every group.
+struct GoldenRef {
+    std::vector<const trace::DigitalTrace*> traces; ///< per observed slot
+    std::vector<CollapsedTrace> collapsed;          ///< per observed slot
+};
+
+GoldenRef goldenRef(const BatchRequest& req)
 {
-    trace::DigitalTrace t;
-    t.name = name;
-    t.initial = sim.initialBit(obs) ? digital::Logic::One : digital::Logic::Zero;
-    const std::uint64_t laneBit = 1ull << lane;
-    for (const TracePoint& p : sim.points(obs)) {
-        if ((p.changed & laneBit) != 0) {
-            t.events.emplace_back(p.time, (p.value & laneBit) != 0
-                                              ? digital::Logic::One
-                                              : digital::Logic::Zero);
-        }
+    GoldenRef g;
+    for (const std::string& name : req.golden->observedDigital()) {
+        const trace::DigitalTrace& t = req.golden->recorder().digitalTrace(name);
+        g.traces.push_back(&t);
+        g.collapsed.push_back(collapse(t));
     }
-    return t;
+    return g;
 }
 
 /// True when lane 0 of @p sim replayed the golden run exactly: same settled
@@ -72,19 +72,19 @@ trace::DigitalTrace laneTrace(const WordSim& sim, int obs, int lane,
 /// every observed hook. Any mismatch means the word compilation missed a
 /// semantic detail of this particular design, and the whole group must fall
 /// back to the event-driven kernel rather than emit unsound verdicts.
-bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchRequest& req)
+bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchRequest& req,
+                      const GoldenRef& golden)
 {
     if (sim.waveCount(0) != req.goldenWaves) {
         return false;
     }
     const std::vector<std::string>& observed = req.golden->observedDigital();
     for (std::size_t k = 0; k < observed.size(); ++k) {
-        const CollapsedTrace g =
-            collapse(req.golden->recorder().digitalTrace(observed[k]));
+        const CollapsedTrace& g = golden.collapsed[k];
         if (!g.twoValued) {
             return false;
         }
-        const trace::DigitalTrace lane0 = laneTrace(sim, static_cast<int>(k), 0, observed[k]);
+        const trace::DigitalTrace lane0 = sim.laneTrace(static_cast<int>(k), 0, observed[k]);
         if ((lane0.initial == digital::Logic::One) != g.initial ||
             lane0.events.size() != g.events.size()) {
             return false;
@@ -107,11 +107,43 @@ bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchReq
     return true;
 }
 
+/// Word-level prefilter for one group's lane classification, per observed
+/// slot: the lanes whose trace differs from lane 0's, and whether lane 0
+/// compares identical to the golden trace. A lane outside the mask of a slot
+/// where lane 0 is identical has lane 0's trace there, hence an identical
+/// comparison too, and skips the scalar trace build and compare.
+struct Divergence {
+    std::vector<std::uint64_t> lanes;
+    std::vector<char> lane0Identical;
+
+    [[nodiscard]] bool matchesGolden(std::size_t obs, int lane) const
+    {
+        return lane0Identical[obs] != 0 && ((lanes[obs] >> lane) & 1) == 0;
+    }
+};
+
+Divergence divergence(const WordSim& sim, const BatchRequest& req, const GoldenRef& golden,
+                      SimTime tEnd)
+{
+    Divergence d;
+    const std::vector<std::string>& observed = req.golden->observedDigital();
+    for (std::size_t k = 0; k < observed.size(); ++k) {
+        const int obs = static_cast<int>(k);
+        const trace::DigitalDiff lane0 =
+            trace::compareDigital(*golden.traces[k], sim.laneTrace(obs, 0, observed[k]), tEnd,
+                                  req.tolerance.digitalJitter);
+        d.lanes.push_back(sim.divergenceMask(obs));
+        d.lane0Identical.push_back(lane0.identical() ? 1 : 0);
+    }
+    return d;
+}
+
 /// Classifies one faulty lane against the golden reference — a word-level
 /// mirror of CampaignRunner::classify() (digital and state comparisons; the
 /// analog loop is vacuous because eligible designs observe no analog nodes).
 campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
-                                 const BatchRequest& req, int lane,
+                                 const BatchRequest& req, const GoldenRef& golden,
+                                 const Divergence& div, int lane,
                                  const fault::FaultSpec& fault)
 {
     campaign::RunResult result;
@@ -123,11 +155,12 @@ campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
 
     const std::vector<std::string>& observed = req.golden->observedDigital();
     for (std::size_t k = 0; k < observed.size(); ++k) {
-        const trace::DigitalTrace test =
-            laneTrace(sim, static_cast<int>(k), lane, observed[k]);
-        const auto diff =
-            trace::compareDigital(req.golden->recorder().digitalTrace(observed[k]), test,
-                                  tEnd, req.tolerance.digitalJitter);
+        if (div.matchesGolden(k, lane)) {
+            continue;
+        }
+        const auto diff = trace::compareDigital(
+            *golden.traces[k], sim.laneTrace(static_cast<int>(k), lane, observed[k]), tEnd,
+            req.tolerance.digitalJitter);
         if (!diff.identical()) {
             anyOutputError = true;
             result.erredSignals.push_back(observed[k]);
@@ -174,7 +207,8 @@ struct GroupOutcome {
     bool crossCheckFailed = false;
 };
 
-GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& members,
+GroupOutcome runGroup(const BatchRequest& req, const WordModel& model,
+                      const GoldenRef& golden, const std::vector<std::size_t>& members,
                       const std::vector<char>& need)
 {
     GroupOutcome out;
@@ -185,33 +219,28 @@ GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& m
         }
     };
 
+    obs::Span groupSpan(req.telemetry, "batch.group", "batch");
     const auto started = std::chrono::steady_clock::now();
-    const std::unique_ptr<fault::Testbench> tb = (*req.factory)();
-    CompileResult compiled = compileWordModel(*tb);
-    if (!compiled.model) {
-        // The scout compile succeeded for this factory, so this is a
-        // nondeterministic-design anomaly; fall back rather than guess.
-        fallBackAll("word compilation failed: " + compiled.reason);
-        return out;
-    }
-    const WordModel& model = *compiled.model;
-
     WordSim sim(model);
-    for (std::size_t pos = 0; pos < members.size(); ++pos) {
-        const int lane = static_cast<int>(pos) + 1;
-        if (!sim.armFault(lane, (*req.faults)[members[pos]])) {
-            // Eligibility already vetted these; an arm failure leaves the
-            // lane golden, so it must not be classified.
-            out.fallbacks.emplace_back(members[pos], "word kernel could not arm the fault");
+    {
+        obs::Span span(req.telemetry, "sweep", "batch");
+        for (std::size_t pos = 0; pos < members.size(); ++pos) {
+            const int lane = static_cast<int>(pos) + 1;
+            if (!sim.armFault(lane, (*req.faults)[members[pos]])) {
+                // Eligibility already vetted these; an arm failure leaves the
+                // lane golden, so it must not be classified.
+                out.fallbacks.emplace_back(members[pos],
+                                           "word kernel could not arm the fault");
+            }
         }
-    }
-    if (!sim.run()) {
-        fallBackAll("delta-cycle runaway in the word kernel");
-        return out;
+        if (!sim.run()) {
+            fallBackAll("delta-cycle runaway in the word kernel");
+            return out;
+        }
     }
     out.ran = true;
 
-    if (!goldenCrossCheck(sim, model, req)) {
+    if (!goldenCrossCheck(sim, model, req, golden)) {
         out.crossCheckFailed = true;
         fallBackAll("golden cross-check mismatch (word kernel diverged from "
                     "the event-driven golden run)");
@@ -220,6 +249,8 @@ GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& m
 
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+    obs::Span span(req.telemetry, "classify", "batch");
+    const Divergence div = divergence(sim, req, golden, model.duration);
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
         const std::size_t idx = members[pos];
         const bool armFailed =
@@ -228,8 +259,8 @@ GroupOutcome runGroup(const BatchRequest& req, const std::vector<std::size_t>& m
         if (armFailed || need[pos] == 0) {
             continue; // restored from a journal: no result wanted
         }
-        campaign::RunResult r =
-            classifyLane(sim, model, req, static_cast<int>(pos) + 1, (*req.faults)[idx]);
+        campaign::RunResult r = classifyLane(sim, model, req, golden, div,
+                                             static_cast<int>(pos) + 1, (*req.faults)[idx]);
         r.diagnostics.wallSeconds = req.recordTiming ? elapsed : 0.0;
         out.results.emplace(idx, std::move(r));
     }
@@ -243,20 +274,23 @@ BatchStats runBatchedCampaign(const BatchRequest& req,
 {
     BatchStats stats;
 
-    // Scout pass: compile once to decide design eligibility, then vet each
-    // candidate fault against the compiled netlist.
+    // One compile per campaign: it decides design eligibility, vets each
+    // candidate fault, and every group then simulates the same read-only
+    // model. The scout testbench outlives the groups, so FSM callables that
+    // refer into it stay valid.
     const std::unique_ptr<fault::Testbench> scout = (*req.factory)();
-    CompileResult compiled = compileWordModel(*scout);
+    const CompileResult compiled = compileWordModel(*scout);
     if (!compiled.model) {
         stats.designReason = compiled.reason;
         return stats;
     }
     stats.designEligible = true;
+    const WordModel& model = *compiled.model;
 
     std::vector<std::size_t> eligible;     // candidate positions, ascending
     for (std::size_t c = 0; c < req.candidates.size(); ++c) {
         const std::size_t idx = req.candidates[c];
-        const FaultEligibility e = faultEligibility(*compiled.model, (*req.faults)[idx]);
+        const FaultEligibility e = faultEligibility(model, (*req.faults)[idx]);
         if (e.eligible) {
             eligible.push_back(c);
         } else {
@@ -295,9 +329,10 @@ BatchStats runBatchedCampaign(const BatchRequest& req,
 
     // Groups are independent word simulations; commits merge in group order
     // so stats and the result map are deterministic at any worker width.
+    const GoldenRef golden = goldenRef(req);
     core::Executor exec(req.workers);
     exec.forEachOrdered(toRun.size(), [&](std::size_t g) -> core::CommitFn {
-        GroupOutcome outcome = runGroup(req, toRun[g]->members, toRun[g]->need);
+        GroupOutcome outcome = runGroup(req, model, golden, toRun[g]->members, toRun[g]->need);
         return [&stats, &out, outcome = std::move(outcome)]() mutable {
             if (outcome.ran) {
                 ++stats.groups;

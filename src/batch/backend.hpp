@@ -29,7 +29,7 @@ namespace gfi::batch {
 
 /// What the campaign runner hands the batch backend.
 struct BatchRequest {
-    const fault::TestbenchFactory* factory = nullptr; ///< fresh testbench per group
+    const fault::TestbenchFactory* factory = nullptr; ///< builds the testbench to compile
     const fault::Testbench* golden = nullptr;         ///< finished golden run
     const std::map<std::string, std::uint64_t>* goldenState = nullptr;
     std::uint64_t goldenWaves = 0;       ///< golden run's delta-cycle count
@@ -49,6 +49,10 @@ struct BatchRequest {
     campaign::Tolerance tolerance;
     unsigned workers = 0;     ///< Executor worker count (0 = auto)
     bool recordTiming = true; ///< false zeroes diagnostics.wallSeconds
+
+    /// Span sink: one "batch.group" span per group with "sweep" and
+    /// "classify" children. Null (or tracing off) emits nothing.
+    obs::Telemetry* telemetry = nullptr;
 };
 
 /// What happened, for the campaign's log line and telemetry.

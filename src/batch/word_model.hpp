@@ -173,9 +173,10 @@ struct WordHook {
     int width = 1;
 };
 
-/// The compiled design: plain data plus the FSM callables. Every instance is
-/// compiled from its own fresh Testbench, so concurrent word simulations
-/// never share mutable state (the factory contract of CampaignRunner).
+/// The compiled design: plain data plus the FSM callables. A campaign
+/// compiles it once and every word simulation reads it concurrently; the
+/// model is never written after compilation, and the FSM callables must be
+/// pure (see digital::TableFsm), so the groups share no mutable state.
 struct WordModel {
     std::vector<std::string> signalNames; ///< creation order
     std::vector<std::uint8_t> signalInit; ///< initial bit per signal

@@ -659,6 +659,32 @@ std::uint64_t WordSim::readLaneState(const WordHook& h, int lane) const
     return 0;
 }
 
+trace::DigitalTrace WordSim::laneTrace(int obs, int lane, const std::string& name) const
+{
+    trace::DigitalTrace t;
+    t.name = name;
+    t.initial = initialBit(obs) ? digital::Logic::One : digital::Logic::Zero;
+    const std::uint64_t laneBit = 1ull << lane;
+    for (const TracePoint& p : points(obs)) {
+        if ((p.changed & laneBit) != 0) {
+            t.events.emplace_back(p.time, (p.value & laneBit) != 0 ? digital::Logic::One
+                                                                   : digital::Logic::Zero);
+        }
+    }
+    return t;
+}
+
+std::uint64_t WordSim::divergenceMask(int obs) const
+{
+    std::uint64_t mask = 0;
+    for (const TracePoint& p : points(obs)) {
+        const std::uint64_t changed0 = 0 - (p.changed & 1);
+        const std::uint64_t value0 = 0 - (p.value & 1);
+        mask |= (p.changed ^ changed0) | (p.changed & (p.value ^ value0));
+    }
+    return mask;
+}
+
 std::uint64_t WordSim::hookValue(const WordHook& h, int lane) const
 {
     return readLaneState(h, lane);

@@ -19,6 +19,7 @@
 // per-lane wave counters equal to the scalar kernel's deltaCycles().
 
 #include "batch/word_model.hpp"
+#include "trace/trace.hpp"
 
 #include <array>
 #include <cstdint>
@@ -38,8 +39,9 @@ struct TracePoint {
     std::uint64_t value;
 };
 
-/// The word simulator. Build one per fault group from a freshly compiled
-/// model (the model's FSM callables must stay alive for the sim's lifetime).
+/// The word simulator. Build one per fault group; the groups of a campaign
+/// share one compiled model, which the simulator only reads (the model's FSM
+/// callables must stay alive for the sim's lifetime).
 class WordSim {
 public:
     explicit WordSim(const WordModel& model);
@@ -73,6 +75,17 @@ public:
         const int sig = model_.observedDigital[static_cast<std::size_t>(obs)];
         return model_.signalInit[static_cast<std::size_t>(sig)] != 0;
     }
+
+    /// Lane @p lane of observed slot @p obs as a DigitalTrace the scalar
+    /// comparator understands.
+    [[nodiscard]] trace::DigitalTrace laneTrace(int obs, int lane,
+                                                const std::string& name) const;
+
+    /// Lanes whose trace on observed slot @p obs differs from lane 0's: the
+    /// OR over the slot's points of (changed ^ bcast(changed & 1)) |
+    /// (changed & (value ^ bcast(value & 1))). All lanes share the initial
+    /// bit, so a clear bit means laneTrace(obs, L) == laneTrace(obs, 0).
+    [[nodiscard]] std::uint64_t divergenceMask(int obs) const;
 
     /// Lane @p lane's end-of-run value of hook @p h (instrumentation get()).
     [[nodiscard]] std::uint64_t hookValue(const WordHook& h, int lane) const;

@@ -772,10 +772,9 @@ std::unique_ptr<analyze::CollapsePlan> planCollapse(const fault::Testbench& gold
 /// what happened. Returns index -> verdict for every fault the word kernel
 /// classified; the rest (ineligible faults or designs, cross-check
 /// fallbacks) stay on the contained event-driven path.
-std::map<std::size_t, RunResult> runBatchPhase(const batch::BatchRequest& req,
-                                               obs::Telemetry* tel)
+std::map<std::size_t, RunResult> runBatchPhase(const batch::BatchRequest& req)
 {
-    obs::Span span(tel, "batch", "campaign");
+    obs::Telemetry* tel = req.telemetry;
     std::map<std::size_t, RunResult> batched;
     const batch::BatchStats bstats = batch::runBatchedCampaign(req, batched);
     if (!bstats.designEligible) {
@@ -934,7 +933,8 @@ CampaignReport CampaignRunner::run(
         breq.tolerance = tolerance_;
         breq.workers = workers_;
         breq.recordTiming = recordTiming_;
-        for (auto& [i, r] : runBatchPhase(breq, tel)) {
+        breq.telemetry = tel;
+        for (auto& [i, r] : runBatchPhase(breq)) {
             report.runs[i] = std::move(r);
             sources[i] = Source::Batched;
             ++batchedCount;

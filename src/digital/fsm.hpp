@@ -20,8 +20,14 @@ namespace gfi::digital {
 class TableFsm : public Component, public snapshot::Snapshottable {
 public:
     /// Computes the next state from (currentState, inputValue).
+    ///
+    /// Both callables must be pure: the result depends only on the arguments,
+    /// and a call touches no state. The batch backend compiles them once per
+    /// campaign into a shared word model and calls them from several worker
+    /// threads at once.
     using TransitionFn = std::function<int(int, std::uint64_t)>;
-    /// Computes the output value from (currentState, inputValue).
+    /// Computes the output value from (currentState, inputValue). Pure, like
+    /// TransitionFn.
     using OutputFn = std::function<std::uint64_t(int, std::uint64_t)>;
 
     /// @param in          input bus sampled at each rising clock edge.

@@ -8,34 +8,30 @@ namespace gfi::trace {
 DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test, SimTime tEnd,
                            SimTime minWindow)
 {
-    // Merge the event timelines and walk both traces.
-    std::vector<SimTime> times;
-    times.reserve(golden.events.size() + test.events.size() + 2);
-    times.push_back(0);
-    for (const auto& [t, v] : golden.events) {
-        times.push_back(t);
-    }
-    for (const auto& [t, v] : test.events) {
-        times.push_back(t);
-    }
-    times.push_back(tEnd);
-    std::sort(times.begin(), times.end());
-    times.erase(std::unique(times.begin(), times.end()), times.end());
-
-    // Monotone cursors over both event lists: the merged timeline is
-    // ascending, so each trace is walked once (valueAt per point would make
-    // this quadratic in the event count — clock traces have thousands).
+    // The timeline is 0, tEnd and every event time of either trace, ascending,
+    // without duplicates and cut at tEnd. Both event lists are recorded in
+    // time order, so it comes from a linear merge: once the value cursors
+    // have consumed every event at or before t, the next point is the
+    // smallest of the two cursor heads and the next sentinel.
     std::size_t gi = 0;
     std::size_t ti = 0;
     digital::Logic gv = golden.initial;
     digital::Logic tv = test.initial;
+    SimTime sentinel = std::min<SimTime>(0, tEnd);
 
     DigitalDiff diff;
     bool inMismatch = false;
     SimTime windowStart = 0;
-    for (SimTime t : times) {
-        if (t > tEnd) {
-            break;
+    for (;;) {
+        SimTime t = sentinel;
+        if (gi < golden.events.size()) {
+            t = std::min(t, golden.events[gi].first);
+        }
+        if (ti < test.events.size()) {
+            t = std::min(t, test.events[ti].first);
+        }
+        if (t == sentinel) {
+            sentinel = std::max<SimTime>(0, tEnd);
         }
         while (gi < golden.events.size() && golden.events[gi].first <= t) {
             gv = golden.events[gi++].second;
@@ -50,6 +46,9 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
         } else if (!differs && inMismatch) {
             inMismatch = false;
             diff.mismatchWindows.emplace_back(windowStart, t);
+        }
+        if (t >= tEnd) {
+            break;
         }
     }
     if (inMismatch) {

@@ -21,17 +21,26 @@
 #include "core/campaign.hpp"
 #include "core/journal.hpp"
 #include "core/report.hpp"
+#include "core/saboteur.hpp"
+#include "digital/gates.hpp"
 #include "duts/chain_dut.hpp"
 #include "duts/cpu_system.hpp"
 #include "duts/digital_dut.hpp"
+#include "io/ingest.hpp"
+#include "io/netlist.hpp"
 #include "lint/lint.hpp"
+#include "pll/pll.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <set>
 #include <sstream>
 
 namespace gfi {
@@ -426,6 +435,274 @@ TEST(AnalyzeCollapse, JournalRoundTripsCollapsedFrom)
         campaign::CampaignJournal::parseLine(campaign::CampaignJournal::entryToJson(0, plain));
     ASSERT_TRUE(reparsed.has_value());
     EXPECT_TRUE(reparsed->result.diagnostics.collapsedFrom.empty());
+}
+
+// ---------------------------------------------------------------------------
+// SignalGraph against a naive reference built from its public view
+
+using digital::ProcessConnectivity;
+using digital::SignalBase;
+
+/// True when process name @p pn lies inside component @p prefix.
+bool ownedBy(const std::string& pn, const std::string& prefix)
+{
+    return pn.compare(0, prefix.size(), prefix) == 0 &&
+           (pn.size() == prefix.size() || pn[prefix.size()] == '/');
+}
+
+/// Observability by the definition: seed the sinks, then close backward,
+/// scanning every process for drivers of each dequeued node.
+std::vector<bool> naiveObservable(const analyze::SignalGraph& g)
+{
+    const auto& nodes = g.nodes();
+    std::vector<bool> obs(nodes.size(), false);
+    std::deque<int> queue;
+    const auto enqueue = [&](int node) {
+        if (node >= 0 && !obs[static_cast<std::size_t>(node)]) {
+            obs[static_cast<std::size_t>(node)] = true;
+            queue.push_back(node);
+        }
+    };
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (nodes[i].observedTrace || nodes[i].watched) {
+            enqueue(static_cast<int>(i));
+        }
+    }
+    for (const std::string& hook : g.observedStateHooks()) {
+        const digital::Component* comp = g.componentOfHook(hook);
+        if (comp == nullptr) {
+            continue;
+        }
+        for (const ProcessConnectivity* p : g.processes()) {
+            if (ownedBy(p->process->name(), comp->name())) {
+                for (SignalBase* s : analyze::SignalGraph::inputsOf(*p)) {
+                    enqueue(g.indexOf(s));
+                }
+            }
+        }
+    }
+    while (!queue.empty()) {
+        const int node = queue.front();
+        queue.pop_front();
+        for (const ProcessConnectivity* p : g.processes()) {
+            bool drives = false;
+            for (SignalBase* s : p->drives) {
+                drives = drives || g.indexOf(s) == node;
+            }
+            if (drives) {
+                for (SignalBase* s : analyze::SignalGraph::inputsOf(*p)) {
+                    enqueue(g.indexOf(s));
+                }
+            }
+        }
+    }
+    return obs;
+}
+
+/// Levels by the definition: a signal is -1 when a combinational driver sits
+/// on a combinational cycle or reads a -1 signal, else 0 without a
+/// combinational driver, else 1 + its deepest combinational driver input.
+std::vector<int> naiveLevels(const analyze::SignalGraph& g)
+{
+    const auto& nodes = g.nodes();
+    std::vector<const ProcessConnectivity*> comb;
+    for (const ProcessConnectivity* p : g.processes()) {
+        if (!p->sequential) {
+            comb.push_back(p);
+        }
+    }
+    const auto isComb = [&](const ProcessConnectivity* p) {
+        return std::find(comb.begin(), comb.end(), p) != comb.end();
+    };
+    const auto successors = [&](const ProcessConnectivity* p) {
+        std::vector<const ProcessConnectivity*> out;
+        for (SignalBase* s : p->drives) {
+            for (const ProcessConnectivity* r : g.readersOf(g.indexOf(s))) {
+                if (isComb(r)) {
+                    out.push_back(r);
+                }
+            }
+        }
+        return out;
+    };
+    std::set<const ProcessConnectivity*> cyclic;
+    for (const ProcessConnectivity* p : comb) {
+        std::set<const ProcessConnectivity*> seen;
+        std::vector<const ProcessConnectivity*> stack = successors(p);
+        while (!stack.empty()) {
+            const ProcessConnectivity* q = stack.back();
+            stack.pop_back();
+            if (q == p) {
+                cyclic.insert(p);
+                break;
+            }
+            if (seen.insert(q).second) {
+                for (const ProcessConnectivity* r : successors(q)) {
+                    stack.push_back(r);
+                }
+            }
+        }
+    }
+    std::vector<int> level(nodes.size(), 0);
+    std::vector<bool> done(nodes.size(), false);
+    const std::function<int(int)> levelOf = [&](int node) -> int {
+        const auto n = static_cast<std::size_t>(node);
+        if (done[n]) {
+            return level[n];
+        }
+        int l = 0;
+        for (const ProcessConnectivity* p : comb) {
+            if (std::find(p->drives.begin(), p->drives.end(), nodes[n].signal) ==
+                p->drives.end()) {
+                continue;
+            }
+            if (cyclic.count(p) != 0) {
+                l = -1;
+                break;
+            }
+            int in = 0;
+            for (SignalBase* s : analyze::SignalGraph::inputsOf(*p)) {
+                const int li = levelOf(g.indexOf(s));
+                if (li < 0) {
+                    in = -1;
+                    break;
+                }
+                in = std::max(in, li);
+            }
+            if (in < 0) {
+                l = -1;
+                break;
+            }
+            l = std::max(l, in + 1);
+        }
+        done[n] = true;
+        level[n] = l;
+        return l;
+    };
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        (void)levelOf(static_cast<int>(i));
+    }
+    return level;
+}
+
+void expectGraphMatchesNaive(const fault::Testbench& tb, const std::string& what)
+{
+    const analyze::SignalGraph g(tb);
+    const std::vector<bool> obs = naiveObservable(g);
+    const std::vector<int> level = naiveLevels(g);
+    std::size_t cyclic = 0;
+    std::size_t observable = 0;
+    for (std::size_t i = 0; i < g.nodes().size(); ++i) {
+        const analyze::NodeInfo& n = g.nodes()[i];
+        EXPECT_EQ(n.observable, obs[i]) << what << ": " << n.signal->name();
+        EXPECT_EQ(n.level, level[i]) << what << ": " << n.signal->name();
+        cyclic += level[i] < 0 ? 1 : 0;
+        observable += obs[i] ? 1 : 0;
+    }
+    EXPECT_EQ(g.cyclicSignals(), cyclic) << what;
+    EXPECT_GT(observable, 0u) << what;
+}
+
+/// A seeded layered combinational .bench: @p inputs primary inputs, then
+/// @p layers layers of @p width gates, each reading the layer before it; the
+/// last @p unread gates of every inner layer feed nothing.
+std::string layeredBench(int inputs, int layers, int width, int unread, std::uint64_t seed)
+{
+    static const char* const kKinds[] = {"NAND", "NOR", "AND", "OR", "XOR", "XNOR", "NOT", "BUFF"};
+    Rng rng(seed);
+    std::ostringstream out;
+    std::vector<std::string> prev;
+    for (int i = 0; i < inputs; ++i) {
+        prev.push_back("I" + std::to_string(i));
+        out << "INPUT(" << prev.back() << ")\n";
+    }
+    for (int g = 0; g < width; ++g) {
+        out << "OUTPUT(L" << layers - 1 << "_" << g << ")\n";
+    }
+    for (int l = 0; l < layers; ++l) {
+        // Gates the next layer may read: every gate of an input-side layer
+        // is read, the last `unread` of an inner layer are dead ends.
+        const int readable = l + 1 < layers && l > 0 ? width - unread : width;
+        std::vector<std::string> cur;
+        for (int g = 0; g < width; ++g) {
+            const std::string name = "L" + std::to_string(l) + "_" + std::to_string(g);
+            const char* kind = kKinds[rng.below(8)];
+            const bool unary = std::string(kind) == "NOT" || std::string(kind) == "BUFF";
+            // Gate g always reads prev[g % n] so every readable net has a reader.
+            const std::string a = prev[static_cast<std::size_t>(g) % prev.size()];
+            out << name << " = " << kind << "(" << a;
+            if (!unary) {
+                std::string b = a;
+                while (b == a) {
+                    b = prev[rng.below(prev.size())];
+                }
+                out << ", " << b;
+            }
+            out << ")\n";
+            cur.push_back(name);
+        }
+        cur.resize(static_cast<std::size_t>(readable));
+        prev = std::move(cur);
+    }
+    return out.str();
+}
+
+/// A two-gate zero-delay ring feeding an observed buffer: a real
+/// combinational cycle, so the -1 level path is exercised.
+class CombLoopTestbench : public fault::Testbench {
+public:
+    CombLoopTestbench()
+    {
+        auto& dig = sim().digital();
+        auto& a = dig.logicSignal("loop/a", digital::Logic::Zero);
+        auto& b = dig.logicSignal("loop/b", digital::Logic::One);
+        auto& y = dig.logicSignal("loop/y", digital::Logic::Zero);
+        auto& z = dig.logicSignal("loop/z", digital::Logic::Zero);
+        dig.add<digital::NotGate>(dig, "loop/inv1", a, b, 0);
+        dig.add<digital::NotGate>(dig, "loop/inv2", b, a, 0);
+        dig.add<digital::BufGate>(dig, "loop/buf", b, y);
+        dig.add<digital::BufGate>(dig, "loop/buf2", y, z);
+        observeDigital("loop/z");
+        setDuration(kMicrosecond);
+    }
+};
+
+TEST(AnalyzeGraph, MatchesNaiveReferenceOnEveryDesign)
+{
+    expectGraphMatchesNaive(duts::DigitalDutTestbench(), "DigitalDut");
+    expectGraphMatchesNaive(duts::ChainDutTestbench(), "ChainDut");
+    expectGraphMatchesNaive(duts::CpuSystemTestbench(), "CpuSystem");
+    expectGraphMatchesNaive(pll::PllTestbench(), "PLL");
+    pll::PllConfig structural;
+    structural.structuralPfd = true;
+    expectGraphMatchesNaive(pll::PllTestbench(structural), "PLL (structural PFD)");
+
+    for (const char* name : {"c17.bench", "parity8.bench"}) {
+        const io::IngestWorkload w = io::makeWorkload(
+            io::parseNetlistFile(std::string(GFI_TESTCASES_DIR) + "/" + name));
+        expectGraphMatchesNaive(*w.factory()(), name);
+    }
+
+    const std::string text = layeredBench(16, 20, 26, 3, 0x6A7E);
+    const io::NetlistDesc desc = io::parseNetlist(text, "layered.bench");
+    ASSERT_GE(desc.gates.size(), 500u);
+    io::IngestConfig config;
+    config.patternCount = 4;
+    config.patternPeriod = 60 * kNanosecond;
+    const io::IngestWorkload layered = io::makeWorkload(desc, config);
+    const std::unique_ptr<fault::Testbench> tb = layered.factory()();
+    expectGraphMatchesNaive(*tb, "layered");
+    const analyze::SignalGraph g(*tb);
+    std::size_t dead = 0;
+    for (const analyze::NodeInfo& n : g.nodes()) {
+        dead += n.observable ? 0 : 1;
+    }
+    EXPECT_GT(dead, 0u) << "the unread gates must leave unobservable cones";
+    EXPECT_GE(g.maxLevel(), 20);
+
+    const CombLoopTestbench loop;
+    expectGraphMatchesNaive(loop, "comb loop");
+    EXPECT_GT(analyze::SignalGraph(loop).cyclicSignals(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@
 // mid-campaign journal resume of a batched campaign must reproduce the
 // uninterrupted run byte-for-byte.
 
+#include "batch/backend.hpp"
 #include "batch/word_model.hpp"
+#include "batch/word_sim.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "core/saboteur.hpp"
@@ -606,6 +608,174 @@ TEST(BatchWordModel, DigitalDutCompilesAndClassifiesEligibility)
     EXPECT_FALSE(stuckX.eligible);
     const auto unknown = eligible(fault::BitFlipFault{"no/such", 0, t});
     EXPECT_FALSE(unknown.eligible);
+}
+
+// Groups of one campaign share one compiled model and call DigitalDut's FSM
+// callables from several workers at once (the TSan job runs Batch*). Four
+// copies of the list give more than 63 eligible faults, so at least two
+// groups run concurrently; the output must still match the event kernel.
+TEST(BatchCampaign, ConcurrentGroupsShareOneModel)
+{
+    const auto factory = [] { return std::make_unique<duts::DigitalDutTestbench>(); };
+    std::vector<fault::FaultSpec> faults;
+    for (int copy = 0; copy < 4; ++copy) {
+        const auto list = digitalDutFaults();
+        faults.insert(faults.end(), list.begin(), list.end());
+    }
+    const CampaignOutput event = runOne(factory, faults, 4, false, false, "shared");
+    const CampaignOutput batch = runOne(factory, faults, 4, true, false, "shared");
+    EXPECT_EQ(stripBatchLane(batch.journal), event.journal);
+    EXPECT_EQ(batch.detail, event.detail);
+    std::size_t groups = 0;
+    int prevLane = 0;
+    for (const RunResult& r : batch.report.runs) {
+        const int lane = r.diagnostics.batchLane;
+        if (lane > 0) {
+            groups += prevLane == 0 || lane <= prevLane ? 1 : 0;
+            prevLane = lane;
+        }
+    }
+    EXPECT_GE(groups, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Word-level divergence prefilter
+
+/// Lanes by how many observed signals their trace leaves lane 0 on.
+struct LaneMix {
+    int none = 0;
+    int some = 0;
+    int all = 0;
+};
+
+/// Arms every batch-eligible fault of @p faults in one WordSim (lane = list
+/// position + 1) and checks, for every (lane, observed slot), that the
+/// divergence mask bit is clear exactly when the lane's trace equals lane 0's.
+/// Then classifies the same faults through runBatchedCampaign and requires
+/// the event kernel's erredSignals, in observation order.
+LaneMix checkDivergence(const fault::TestbenchFactory& factory,
+                        const std::vector<fault::FaultSpec>& candidates, const std::string& tag)
+{
+    LaneMix mix;
+    const std::unique_ptr<fault::Testbench> tb = factory();
+    const batch::CompileResult compiled = batch::compileWordModel(*tb);
+    EXPECT_NE(compiled.model, nullptr) << tag << ": " << compiled.reason;
+    if (!compiled.model) {
+        return mix;
+    }
+    std::vector<fault::FaultSpec> faults;
+    for (const fault::FaultSpec& f : candidates) {
+        if (batch::faultEligibility(*compiled.model, f).eligible && faults.size() < 63) {
+            faults.push_back(f);
+        }
+    }
+    EXPECT_GE(faults.size(), 4u) << tag;
+
+    batch::WordSim sim(*compiled.model);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        EXPECT_TRUE(sim.armFault(static_cast<int>(i) + 1, faults[i])) << tag << " fault " << i;
+    }
+    EXPECT_TRUE(sim.run()) << tag;
+    const std::vector<std::string>& observed = tb->observedDigital();
+    const auto sameTrace = [](const trace::DigitalTrace& a, const trace::DigitalTrace& b) {
+        return a.initial == b.initial && a.events == b.events;
+    };
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        const int lane = static_cast<int>(i) + 1;
+        std::size_t diverged = 0;
+        for (std::size_t k = 0; k < observed.size(); ++k) {
+            const int obs = static_cast<int>(k);
+            const bool maskClear = ((sim.divergenceMask(obs) >> lane) & 1) == 0;
+            const bool equal = sameTrace(sim.laneTrace(obs, lane, observed[k]),
+                                         sim.laneTrace(obs, 0, observed[k]));
+            EXPECT_EQ(maskClear, equal) << tag << " lane " << lane << " " << observed[k];
+            diverged += maskClear ? 0 : 1;
+        }
+        if (diverged == 0) {
+            ++mix.none;
+        } else if (diverged == observed.size()) {
+            ++mix.all;
+        } else {
+            ++mix.some;
+        }
+    }
+    for (std::size_t k = 0; k < observed.size(); ++k) {
+        EXPECT_EQ(sim.divergenceMask(static_cast<int>(k)) & 1, 0u) << tag << " lane 0";
+    }
+
+    CampaignRunner runner(factory);
+    runner.setRecordTiming(false);
+    runner.runGolden();
+    const fault::Testbench& golden = runner.golden();
+    std::map<std::string, std::uint64_t> goldenState;
+    for (const std::string& name : golden.observedState()) {
+        goldenState[name] = golden.sim().digital().instrumentation().hook(name).get();
+    }
+    batch::BatchRequest req;
+    req.factory = &factory;
+    req.golden = &golden;
+    req.goldenState = &goldenState;
+    req.goldenWaves = golden.sim().digital().scheduler().deltaCycles();
+    req.faults = &faults;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        req.candidates.push_back(i);
+    }
+    req.tolerance = runner.tolerance();
+    req.workers = 1;
+    req.recordTiming = false;
+    std::map<std::size_t, RunResult> out;
+    const batch::BatchStats stats = batch::runBatchedCampaign(req, out);
+    EXPECT_EQ(stats.groups, 1u) << tag;
+    EXPECT_EQ(out.size(), faults.size()) << tag;
+    for (const auto& [i, r] : out) {
+        EXPECT_EQ(r.diagnostics.batchLane, static_cast<int>(i) + 1) << tag;
+        const RunResult event = runner.runOne(faults[i]);
+        EXPECT_EQ(r.erredSignals, event.erredSignals) << tag << " fault " << i;
+        EXPECT_EQ(r.outcome, event.outcome) << tag << " fault " << i;
+        EXPECT_EQ(r.firstOutputError, event.firstOutputError) << tag << " fault " << i;
+        EXPECT_EQ(r.totalOutputErrorTime, event.totalOutputErrorTime) << tag << " fault " << i;
+        // Observation order: erred signals appear as they do in observed.
+        std::size_t at = 0;
+        for (const std::string& name : r.erredSignals) {
+            while (at < observed.size() && observed[at] != name) {
+                ++at;
+            }
+            EXPECT_LT(at, observed.size()) << tag << " fault " << i << ": " << name;
+            ++at;
+        }
+    }
+    return mix;
+}
+
+TEST(BatchDivergence, MaskMatchesLaneTraces)
+{
+    const fault::TestbenchFactory chain = [] {
+        return std::make_unique<duts::ChainDutTestbench>();
+    };
+    std::vector<fault::FaultSpec> chainFaults;
+    {
+        const duts::ChainDutTestbench probe;
+        const SimTime t = 800 * kNanosecond + 3 * kNanosecond;
+        for (const std::string& sab : probe.digitalSaboteurNames()) {
+            chainFaults.emplace_back(fault::StuckAtFault{sab, Logic::One, t, 0});
+            chainFaults.emplace_back(fault::StuckAtFault{sab, Logic::Zero, t, 0});
+            chainFaults.emplace_back(
+                fault::StuckAtFault{sab, Logic::One, t + 20 * kNanosecond, 150 * kNanosecond});
+        }
+        for (const auto& [name, hook] : probe.sim().digital().instrumentation().all()) {
+            chainFaults.emplace_back(fault::BitFlipFault{name, 0, t});
+        }
+    }
+    const LaneMix c = checkDivergence(chain, chainFaults, "chain");
+    EXPECT_GT(c.none, 0) << "the dead branch must leave masked lanes";
+
+    const fault::TestbenchFactory dut = [] {
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
+    const LaneMix d = checkDivergence(dut, digitalDutFaults(), "digital");
+    EXPECT_GT(d.some, 0) << "DigitalDut must have lanes that err on only some outputs";
+    EXPECT_GT(c.all + d.all, 0) << "some lane must err on every observed signal";
+    EXPECT_GT(c.none + d.none, 0);
 }
 
 } // namespace

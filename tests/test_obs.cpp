@@ -10,6 +10,8 @@
 #include "core/journal.hpp"
 #include "core/report.hpp"
 #include "duts/digital_dut.hpp"
+#include "io/ingest.hpp"
+#include "io/netlist.hpp"
 #include "obs/bench_compare.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -354,6 +357,69 @@ TEST(ObsTelemetry, FromEnvAndFlush)
 
     std::remove(tracePath.c_str());
     std::remove(metricsPath.c_str());
+}
+
+TEST(ObsTrace, BatchedCampaignEmitsOneGroupSpanPerWordGroup)
+{
+    clearTelemetryEnv();
+    const io::IngestWorkload w =
+        io::makeWorkload(io::parseNetlistFile(std::string(GFI_TESTCASES_DIR) + "/c17.bench"));
+    // Three copies of the stuck-at list, collapse off: 66 batch candidates,
+    // so the word kernel runs more than one group.
+    std::vector<fault::FaultSpec> faults;
+    for (int copy = 0; copy < 3; ++copy) {
+        faults.insert(faults.end(), w.faults.begin(), w.faults.end());
+    }
+    const auto runCampaign = [&](obs::Telemetry* telemetry, const std::string& journal) {
+        std::remove(journal.c_str());
+        campaign::CampaignRunner runner(w.factory());
+        runner.setWorkers(2);
+        runner.setRecordTiming(false);
+        runner.setBatchBackend(true);
+        runner.setFaultCollapsing(false);
+        runner.setJournalPath(journal);
+        if (telemetry != nullptr) {
+            runner.setTelemetry(*telemetry);
+        }
+        campaign::CampaignReport report = runner.run(faults);
+        std::string bytes = slurp(journal);
+        std::remove(journal.c_str());
+        return std::make_pair(std::move(report), std::move(bytes));
+    };
+
+    obs::Telemetry telemetry;
+    telemetry.enableTracing();
+    const auto [report, journal] =
+        runCampaign(&telemetry, ::testing::TempDir() + "gfi_obs_batch_traced.jsonl");
+    const auto [plainReport, plainJournal] =
+        runCampaign(nullptr, ::testing::TempDir() + "gfi_obs_batch_plain.jsonl");
+    EXPECT_EQ(journal, plainJournal) << "tracing must not change the journal";
+    EXPECT_EQ(campaign::reportToJson(report), campaign::reportToJson(plainReport));
+
+    // BatchStats::groups as the report carries it: lanes run 1..63 in
+    // fault-list order, so a group starts wherever the lane does not rise.
+    std::size_t groups = 0;
+    int prevLane = 0;
+    for (const campaign::RunResult& r : report.runs) {
+        const int lane = r.diagnostics.batchLane;
+        ASSERT_GT(lane, 0) << "every c17 stuck-at is batch-eligible";
+        groups += lane <= prevLane || prevLane == 0 ? 1 : 0;
+        prevLane = lane;
+    }
+    EXPECT_EQ(groups, 2u);
+
+    std::map<std::string, std::size_t> spans;
+    const util::JsonValue trace = util::parseJson(telemetry.trace()->json());
+    for (const util::JsonValue& e : trace.find("traceEvents")->asArray()) {
+        const util::JsonValue* cat = e.find("cat");
+        if (cat != nullptr && cat->asString() == "batch") {
+            ++spans[e.find("name")->asString()];
+        }
+    }
+    EXPECT_EQ(spans["batch.group"], groups);
+    EXPECT_EQ(spans["sweep"], groups);
+    EXPECT_EQ(spans["classify"], groups);
+    EXPECT_EQ(spans.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@
 #include "analog/passive.hpp"
 #include "analog/sources.hpp"
 #include "digital/sequential.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 namespace gfi::trace {
@@ -99,6 +101,74 @@ TEST(CompareDigitalTest, WeakValuesNormalized)
     const auto golden = makeTrace(Logic::One, {});
     const auto faulty = makeTrace(Logic::H, {});
     EXPECT_TRUE(compareDigital(golden, faulty, 100).identical());
+}
+
+/// The comparator's definition: windows over the sorted, deduplicated union
+/// of {0, tEnd} and both traces' event times, values by valueAt().
+DigitalDiff referenceCompare(const DigitalTrace& golden, const DigitalTrace& test, SimTime tEnd,
+                             SimTime minWindow)
+{
+    std::vector<SimTime> times{0, tEnd};
+    for (const auto& [t, v] : golden.events) {
+        times.push_back(t);
+    }
+    for (const auto& [t, v] : test.events) {
+        times.push_back(t);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    DigitalDiff diff;
+    bool in = false;
+    SimTime start = 0;
+    for (const SimTime t : times) {
+        if (t > tEnd) {
+            break;
+        }
+        const bool differs =
+            digital::toX01(golden.valueAt(t)) != digital::toX01(test.valueAt(t));
+        if (differs && !in) {
+            in = true;
+            start = t;
+        } else if (!differs && in) {
+            in = false;
+            diff.mismatchWindows.emplace_back(start, t);
+        }
+    }
+    if (in) {
+        diff.mismatchWindows.emplace_back(start, tEnd);
+    }
+    std::erase_if(diff.mismatchWindows,
+                  [&](const auto& w) { return minWindow > 0 && w.second - w.first < minWindow; });
+    return diff;
+}
+
+TEST(CompareDigitalTest, LinearMergeMatchesSortedTimelineReference)
+{
+    static constexpr Logic kValues[] = {Logic::Zero, Logic::One, Logic::X, Logic::L,
+                                        Logic::U};
+    Rng rng(0xC0A7);
+    const auto randomTrace = [&](std::size_t events) {
+        DigitalTrace t;
+        t.initial = kValues[rng.below(5)];
+        SimTime at = -5 + static_cast<SimTime>(rng.below(10));
+        for (std::size_t i = 0; i < events; ++i) {
+            at += static_cast<SimTime>(rng.below(4)); // equal times: same-time glitches
+            t.events.emplace_back(at, kValues[rng.below(5)]);
+        }
+        return t;
+    };
+    for (int trial = 0; trial < 3000; ++trial) {
+        const DigitalTrace golden = randomTrace(rng.below(12));
+        const DigitalTrace test = randomTrace(rng.below(12));
+        const SimTime tEnd = -3 + static_cast<SimTime>(rng.below(40));
+        const SimTime minWindow = static_cast<SimTime>(rng.below(4));
+        const DigitalDiff got = compareDigital(golden, test, tEnd, minWindow);
+        const DigitalDiff want = referenceCompare(golden, test, tEnd, minWindow);
+        ASSERT_EQ(got.mismatchWindows, want.mismatchWindows) << "trial " << trial;
+        ASSERT_EQ(got.firstMismatch,
+                  want.mismatchWindows.empty() ? -1 : want.mismatchWindows.front().first);
+        ASSERT_EQ(got.identical(), want.mismatchWindows.empty());
+    }
 }
 
 TEST(CompareAnalogTest, WithinTolerance)
