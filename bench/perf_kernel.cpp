@@ -12,6 +12,7 @@
 #include "core/saboteur.hpp"
 #include "digital/gates.hpp"
 #include "digital/sequential.hpp"
+#include "digital/stimulus.hpp"
 #include "duts/digital_dut.hpp"
 #include "obs/telemetry.hpp"
 #include "pll/pll.hpp"
@@ -67,6 +68,27 @@ void BM_GateChainPropagation(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 100 * depth);
 }
 BENCHMARK(BM_GateChainPropagation)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+void BM_StimulusArming(benchmark::State& state)
+{
+    // A pattern-driven testbench (io::IngestTestbench) arms one stimulus per
+    // changed input bit, at increasing times, before the run starts: each arm
+    // is a push later than every pending time. Time per item must not grow
+    // with the number of rows.
+    const std::int64_t rows = state.range(0);
+    for (auto _ : state) {
+        digital::Circuit c;
+        auto& in = c.logicSignal("in", digital::Logic::Zero);
+        auto& stimuli = c.add<digital::StimulusSchedule>(c, "stimuli");
+        for (std::int64_t k = 0; k < rows; ++k) {
+            stimuli.at((k + 1) * 10 * kNanosecond, in,
+                       k % 2 == 0 ? digital::Logic::One : digital::Logic::Zero);
+        }
+        c.runUntil(rows * 10 * kNanosecond);
+    }
+    state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_StimulusArming)->Arg(1024)->Arg(16384)->Unit(benchmark::kMillisecond);
 
 // --- analog kernel -----------------------------------------------------------
 

@@ -3,9 +3,9 @@
 #include "batch/word_sim.hpp"
 #include "core/executor.hpp"
 #include "obs/telemetry.hpp"
-#include "trace/compare.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 namespace gfi::batch {
@@ -49,20 +49,17 @@ CollapsedTrace collapse(const trace::DigitalTrace& t)
     return c;
 }
 
-/// The golden run's observed traces, looked up and collapsed once per
-/// campaign and shared read-only by every group.
+/// The golden run's observed traces, collapsed once per campaign and shared
+/// read-only by every group.
 struct GoldenRef {
-    std::vector<const trace::DigitalTrace*> traces; ///< per observed slot
-    std::vector<CollapsedTrace> collapsed;          ///< per observed slot
+    std::vector<CollapsedTrace> collapsed; ///< per observed slot
 };
 
 GoldenRef goldenRef(const BatchRequest& req)
 {
     GoldenRef g;
     for (const std::string& name : req.golden->observedDigital()) {
-        const trace::DigitalTrace& t = req.golden->recorder().digitalTrace(name);
-        g.traces.push_back(&t);
-        g.collapsed.push_back(collapse(t));
+        g.collapsed.push_back(collapse(req.golden->recorder().digitalTrace(name)));
     }
     return g;
 }
@@ -107,43 +104,16 @@ bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchReq
     return true;
 }
 
-/// Word-level prefilter for one group's lane classification, per observed
-/// slot: the lanes whose trace differs from lane 0's, and whether lane 0
-/// compares identical to the golden trace. A lane outside the mask of a slot
-/// where lane 0 is identical has lane 0's trace there, hence an identical
-/// comparison too, and skips the scalar trace build and compare.
-struct Divergence {
-    std::vector<std::uint64_t> lanes;
-    std::vector<char> lane0Identical;
-
-    [[nodiscard]] bool matchesGolden(std::size_t obs, int lane) const
-    {
-        return lane0Identical[obs] != 0 && ((lanes[obs] >> lane) & 1) == 0;
-    }
-};
-
-Divergence divergence(const WordSim& sim, const BatchRequest& req, const GoldenRef& golden,
-                      SimTime tEnd)
-{
-    Divergence d;
-    const std::vector<std::string>& observed = req.golden->observedDigital();
-    for (std::size_t k = 0; k < observed.size(); ++k) {
-        const int obs = static_cast<int>(k);
-        const trace::DigitalDiff lane0 =
-            trace::compareDigital(*golden.traces[k], sim.laneTrace(obs, 0, observed[k]), tEnd,
-                                  req.tolerance.digitalJitter);
-        d.lanes.push_back(sim.divergenceMask(obs));
-        d.lane0Identical.push_back(lane0.identical() ? 1 : 0);
-    }
-    return d;
-}
-
 /// Classifies one faulty lane against the golden reference — a word-level
 /// mirror of CampaignRunner::classify() (digital and state comparisons; the
 /// analog loop is vacuous because eligible designs observe no analog nodes).
+/// @p diffs holds WordSim::laneDiffs() per observed signal: after the golden
+/// cross-check lane 0 carries the golden trace's settled value at every time
+/// point and every golden event is two-valued, so a lane's windows against
+/// lane 0 are its trace::compareDigital() windows against the golden trace.
 campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
-                                 const BatchRequest& req, const GoldenRef& golden,
-                                 const Divergence& div, int lane,
+                                 const BatchRequest& req,
+                                 const std::vector<std::array<LaneDiff, 64>>& diffs, int lane,
                                  const fault::FaultSpec& fault)
 {
     campaign::RunResult result;
@@ -155,23 +125,19 @@ campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
 
     const std::vector<std::string>& observed = req.golden->observedDigital();
     for (std::size_t k = 0; k < observed.size(); ++k) {
-        if (div.matchesGolden(k, lane)) {
-            continue;
-        }
-        const auto diff = trace::compareDigital(
-            *golden.traces[k], sim.laneTrace(static_cast<int>(k), lane, observed[k]), tEnd,
-            req.tolerance.digitalJitter);
-        if (!diff.identical()) {
+        const LaneDiff& diff = diffs[k][static_cast<std::size_t>(lane)];
+        if (diff.erred) {
             anyOutputError = true;
             result.erredSignals.push_back(observed[k]);
-            if (result.firstOutputError < 0 || diff.firstMismatch < result.firstOutputError) {
-                result.firstOutputError = diff.firstMismatch;
+            if (result.firstOutputError < 0 || diff.first < result.firstOutputError) {
+                result.firstOutputError = diff.first;
             }
-            if (diff.lastMismatchEnd > result.lastOutputErrorEnd) {
-                result.lastOutputErrorEnd = diff.lastMismatchEnd;
+            if (diff.lastEnd > result.lastOutputErrorEnd) {
+                result.lastOutputErrorEnd = diff.lastEnd;
             }
-            result.totalOutputErrorTime += diff.totalMismatch;
-            recoveredEverywhere = recoveredEverywhere && diff.matchesAt(tEnd);
+            result.totalOutputErrorTime += diff.total;
+            // DigitalDiff::matchesAt(tEnd): the last window ends before tEnd.
+            recoveredEverywhere = recoveredEverywhere && diff.lastEnd < tEnd;
         }
     }
 
@@ -250,7 +216,11 @@ GroupOutcome runGroup(const BatchRequest& req, const WordModel& model,
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
     obs::Span span(req.telemetry, "classify", "batch");
-    const Divergence div = divergence(sim, req, golden, model.duration);
+    std::vector<std::array<LaneDiff, 64>> diffs;
+    for (std::size_t k = 0; k < req.golden->observedDigital().size(); ++k) {
+        diffs.push_back(
+            sim.laneDiffs(static_cast<int>(k), model.duration, req.tolerance.digitalJitter));
+    }
     for (std::size_t pos = 0; pos < members.size(); ++pos) {
         const std::size_t idx = members[pos];
         const bool armFailed =
@@ -259,8 +229,8 @@ GroupOutcome runGroup(const BatchRequest& req, const WordModel& model,
         if (armFailed || need[pos] == 0) {
             continue; // restored from a journal: no result wanted
         }
-        campaign::RunResult r = classifyLane(sim, model, req, golden, div,
-                                             static_cast<int>(pos) + 1, (*req.faults)[idx]);
+        campaign::RunResult r =
+            classifyLane(sim, model, req, diffs, static_cast<int>(pos) + 1, (*req.faults)[idx]);
         r.diagnostics.wallSeconds = req.recordTiming ? elapsed : 0.0;
         out.results.emplace(idx, std::move(r));
     }

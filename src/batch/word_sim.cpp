@@ -80,24 +80,13 @@ void WordSim::scheduleInertial(int sigIdx, std::uint64_t value, std::uint64_t la
     }
     const std::uint64_t id = nextTxnId_++;
     s.pending.push_back(Txn{id, value, lanes});
-    Entry e;
-    e.time = now_ + delay;
-    e.seq = seq_++;
-    e.signal = sigIdx;
-    e.txnId = id;
-    e.occ = lanes;
-    queue_.push(std::move(e));
+    queue_.push(now_ + delay, seq_++, Target{sigIdx, id, lanes});
 }
 
 void WordSim::scheduleAction(SimTime t, std::uint64_t occ,
                              std::function<void(std::uint64_t)> fn)
 {
-    Entry e;
-    e.time = std::max(t, now_);
-    e.seq = seq_++;
-    e.fn = std::move(fn);
-    e.occ = occ;
-    queue_.push(std::move(e));
+    queue_.push(std::max(t, now_), seq_++, Target{-1, queue_.park(std::move(fn)), occ});
 }
 
 void WordSim::applyTxn(int sigIdx, std::uint64_t id)
@@ -164,37 +153,30 @@ void WordSim::runWave()
     changedSignals_.clear();
 
     // Dispatch: pop everything due now, in (time, seq) order.
-    static thread_local std::vector<std::pair<int, std::uint64_t>> txns;
-    static thread_local std::vector<std::pair<std::function<void(std::uint64_t)>,
-                                              std::uint64_t>> actions;
-    txns.clear();
-    actions.clear();
+    due_.clear();
+    queue_.popDue(now_, due_);
     std::uint64_t occupied = 0;
-    while (!queue_.empty() && queue_.top().time <= now_) {
-        Entry e = queue_.top();
-        queue_.pop();
-        occupied |= e.occ;
-        if (e.signal >= 0) {
-            txns.emplace_back(e.signal, e.txnId);
-        } else {
-            actions.emplace_back(std::move(e.fn), e.occ);
-        }
+    for (const Queue::Entry& e : due_) {
+        occupied |= e.payload.occ;
     }
     for (std::uint64_t w = occupied; w != 0; w &= w - 1) {
         ++waveCount_[static_cast<std::size_t>(__builtin_ctzll(w))];
     }
 
     // Phase 1: transactions. Phase 2: actions. Phase 3: woken processes.
-    for (const auto& [sigIdx, id] : txns) {
-        applyTxn(sigIdx, id);
+    for (const Queue::Entry& e : due_) {
+        if (e.payload.signal >= 0) {
+            applyTxn(e.payload.signal, e.payload.id);
+        }
     }
-    for (auto& [fn, occ] : actions) {
-        fn(occ);
+    for (const Queue::Entry& e : due_) {
+        if (e.payload.signal < 0) {
+            queue_.take(e.payload.id)(e.payload.occ);
+        }
     }
-    static thread_local std::vector<int> toRun;
-    toRun.clear();
-    toRun.swap(runnable_);
-    for (const int p : toRun) {
+    toRun_.clear();
+    toRun_.swap(runnable_);
+    for (const int p : toRun_) {
         queued_[static_cast<std::size_t>(p)] = 0;
         std::uint64_t mask = 0;
         for (const int s : model_.processes[static_cast<std::size_t>(p)].sens) {
@@ -560,16 +542,18 @@ void WordSim::runFsm(int idx, std::uint64_t m)
         st.state[static_cast<std::size_t>(__builtin_ctzll(w))] = f.resetState;
     }
     st.forcedMask &= ~reset;
-    for (std::uint64_t w = trans; w != 0; w &= w - 1) {
-        const int lane = __builtin_ctzll(w);
-        const auto l = static_cast<std::size_t>(lane);
-        if (((st.forcedMask >> lane) & 1) != 0) {
-            st.state[l] = st.forcedNext[l];
-            st.forcedMask &= ~(1ull << lane);
-        } else {
-            st.state[l] = f.next(st.state[l], busLaneValue(f.in, lane));
-        }
+    const std::uint64_t forced = trans & st.forcedMask;
+    for (std::uint64_t w = forced; w != 0; w &= w - 1) {
+        const auto l = static_cast<std::size_t>(__builtin_ctzll(w));
+        st.state[l] = st.forcedNext[l];
     }
+    st.forcedMask &= ~forced;
+    forEachFsmClass(f, st, trans & ~forced, [&](int state, std::uint64_t in, std::uint64_t same) {
+        const int next = f.next(state, in);
+        for (std::uint64_t w = same; w != 0; w &= w - 1) {
+            st.state[static_cast<std::size_t>(__builtin_ctzll(w))] = next;
+        }
+    });
     driveFsm(idx, eff);
 }
 
@@ -577,17 +561,41 @@ void WordSim::driveFsm(int idx, std::uint64_t lanes)
 {
     const WordFsm& f = model_.fsms[static_cast<std::size_t>(idx)];
     const FsmState& st = fsmState_[static_cast<std::size_t>(idx)];
-    std::vector<std::uint64_t> bits(f.out.size(), 0);
-    for (std::uint64_t w = lanes; w != 0; w &= w - 1) {
-        const int lane = __builtin_ctzll(w);
-        const std::uint64_t out =
-            f.output(st.state[static_cast<std::size_t>(lane)], busLaneValue(f.in, lane));
-        for (std::size_t b = 0; b < bits.size(); ++b) {
-            bits[b] |= ((out >> b) & 1) << lane;
+    fsmBits_.assign(f.out.size(), 0);
+    forEachFsmClass(f, st, lanes, [&](int state, std::uint64_t in, std::uint64_t same) {
+        const std::uint64_t out = f.output(state, in);
+        for (std::size_t b = 0; b < fsmBits_.size(); ++b) {
+            fsmBits_[b] |= ((out >> b) & 1) != 0 ? same : 0;
         }
+    });
+    for (std::size_t b = 0; b < fsmBits_.size(); ++b) {
+        scheduleInertial(f.out[b], fsmBits_[b], lanes, f.clkToQ);
     }
-    for (std::size_t b = 0; b < bits.size(); ++b) {
-        scheduleInertial(f.out[b], bits[b], lanes, f.clkToQ);
+}
+
+template <typename Fn>
+void WordSim::forEachFsmClass(const WordFsm& f, const FsmState& st, std::uint64_t lanes,
+                              Fn&& fn)
+{
+    // The FSM callables are pure (digital/fsm.hpp), so lanes that share a
+    // (state, input) pair share the result: one call per distinct pair.
+    for (std::uint64_t todo = lanes; todo != 0;) {
+        const int first = __builtin_ctzll(todo);
+        const int state = st.state[static_cast<std::size_t>(first)];
+        std::uint64_t sameIn = todo;
+        for (const int sigIdx : f.in) {
+            const std::uint64_t v = sig_[static_cast<std::size_t>(sigIdx)].val;
+            sameIn &= ~(v ^ (0 - ((v >> first) & 1)));
+        }
+        std::uint64_t same = 0;
+        for (std::uint64_t w = sameIn; w != 0; w &= w - 1) {
+            const int l = __builtin_ctzll(w);
+            if (st.state[static_cast<std::size_t>(l)] == state) {
+                same |= 1ull << l;
+            }
+        }
+        todo &= ~same;
+        fn(state, busLaneValue(f.in, first), same);
     }
 }
 
@@ -672,6 +680,56 @@ trace::DigitalTrace WordSim::laneTrace(int obs, int lane, const std::string& nam
         }
     }
     return t;
+}
+
+std::array<LaneDiff, 64> WordSim::laneDiffs(int obs, SimTime tEnd, SimTime minWindow) const
+{
+    // Every lane starts from the slot's initial bit, so lane L's mismatch
+    // against lane 0 is bit L of value ^ bcast(value & 1), and that word can
+    // only change at a recorded point. Evaluating it at 0, at every point
+    // time before tEnd and at tEnd (after applying the points up to each)
+    // opens and closes exactly the windows of compareDigital's timeline,
+    // whose points are a subset of these and between which neither lane
+    // changes.
+    std::array<LaneDiff, 64> diffs{};
+    std::array<SimTime, 64> start{};
+    const auto close = [&](std::uint64_t lanes, SimTime end) {
+        for (; lanes != 0; lanes &= lanes - 1) {
+            const auto lane = static_cast<std::size_t>(__builtin_ctzll(lanes));
+            if (minWindow > 0 && end - start[lane] < minWindow) {
+                continue; // below the jitter tolerance: not a functional error
+            }
+            LaneDiff& d = diffs[lane];
+            if (!d.erred) {
+                d.erred = true;
+                d.first = start[lane];
+            }
+            d.lastEnd = end;
+            d.total += end - start[lane];
+        }
+    };
+
+    const std::vector<TracePoint>& pts = points(obs);
+    std::size_t next = 0;
+    std::uint64_t value = initialBit(obs) ? kAllLanes : 0;
+    std::uint64_t mismatch = 0;
+    for (SimTime t = std::min<SimTime>(0, tEnd);;) {
+        for (; next < pts.size() && pts[next].time <= t; ++next) {
+            value = (value & ~pts[next].changed) | (pts[next].value & pts[next].changed);
+        }
+        const std::uint64_t now = value ^ (0 - (value & 1));
+        for (std::uint64_t w = now & ~mismatch; w != 0; w &= w - 1) {
+            start[static_cast<std::size_t>(__builtin_ctzll(w))] = t;
+        }
+        close(mismatch & ~now, t);
+        mismatch = now;
+        if (t >= tEnd) {
+            break;
+        }
+        t = next < pts.size() ? std::min(pts[next].time, tEnd) : tEnd;
+    }
+    close(mismatch, tEnd); // windows still open when observation stops
+    return diffs;
 }
 
 std::uint64_t WordSim::divergenceMask(int obs) const
@@ -863,7 +921,7 @@ bool WordSim::run()
 
     // Counted waves at time zero (the scalar kernel's runDeltasNow()).
     std::uint64_t wavesHere = 0;
-    while (!runnable_.empty() || (!queue_.empty() && queue_.top().time <= now_)) {
+    while (!runnable_.empty() || queue_.nextTime() <= now_) {
         if (++wavesHere > kWaveLimit) {
             failed_ = true;
             return false;
@@ -872,10 +930,10 @@ bool WordSim::run()
     }
     flushTimePoint(now_);
 
-    while (!queue_.empty() && queue_.top().time <= model_.duration) {
-        now_ = queue_.top().time;
+    while (!queue_.empty() && queue_.nextTime() <= model_.duration) {
+        now_ = queue_.nextTime();
         wavesHere = 0;
-        while (!runnable_.empty() || (!queue_.empty() && queue_.top().time <= now_)) {
+        while (!runnable_.empty() || queue_.nextTime() <= now_) {
             if (++wavesHere > kWaveLimit) {
                 failed_ = true;
                 return false;

@@ -17,14 +17,18 @@
 // kernel's event stamps). Queue entries carry a lane-occupancy mask: a wave
 // "happens" in exactly the lanes that have an entry due, which keeps the
 // per-lane wave counters equal to the scalar kernel's deltaCycles().
+//
+// Pending work lives in the scalar kernel's own queue type (EventQueue, see
+// sim/event_queue.hpp), so (time, seq) dispatch order is the same code, not
+// a copy of it.
 
 #include "batch/word_model.hpp"
+#include "sim/event_queue.hpp"
 #include "trace/trace.hpp"
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 
 namespace gfi::batch {
 
@@ -37,6 +41,15 @@ struct TracePoint {
     SimTime time;
     std::uint64_t changed;
     std::uint64_t value;
+};
+
+/// One lane's comparison against lane 0 on an observed signal: the figures
+/// trace::compareDigital() derives from its mismatch windows.
+struct LaneDiff {
+    bool erred = false;   ///< at least one window survived the jitter filter
+    SimTime first = -1;   ///< start of the first window
+    SimTime lastEnd = -1; ///< end of the last window
+    SimTime total = 0;    ///< summed window length
 };
 
 /// The word simulator. Build one per fault group; the groups of a campaign
@@ -81,6 +94,11 @@ public:
     [[nodiscard]] trace::DigitalTrace laneTrace(int obs, int lane,
                                                 const std::string& name) const;
 
+    /// compareDigital(laneTrace(obs, 0), laneTrace(obs, L), tEnd, minWindow)
+    /// for every lane L at once, in one pass over the slot's points.
+    [[nodiscard]] std::array<LaneDiff, 64> laneDiffs(int obs, SimTime tEnd,
+                                                     SimTime minWindow) const;
+
     /// Lanes whose trace on observed slot @p obs differs from lane 0's: the
     /// OR over the slot's points of (changed ^ bcast(changed & 1)) |
     /// (changed & (value ^ bcast(value & 1))). All lanes share the initial
@@ -106,22 +124,16 @@ private:
         int obs = -1; ///< observed slot, -1 when unobserved
     };
 
-    struct Entry {
-        SimTime time;
-        std::uint64_t seq;
-        int signal = -1;                       ///< >= 0: transaction entry
-        std::uint64_t txnId = 0;
-        std::function<void(std::uint64_t)> fn; ///< action entry when signal < 0
-        std::uint64_t occ = 0;                 ///< lanes this entry exists in
+    /// Queue entry body: a transaction on @c signal (>= 0), or (signal < 0)
+    /// the action parked in slot @c id; @c occ is the lanes it exists in.
+    struct Target {
+        int signal;
+        std::uint64_t id;
+        std::uint64_t occ;
     };
-    struct EntryLater {
-        bool operator()(const Entry& a, const Entry& b) const
-        {
-            return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-        }
-    };
+    using Queue = EventQueue<Target, std::function<void(std::uint64_t)>>;
 
-    // --- scheduling primitives (scalar-kernel replicas) ---------------------
+    // --- scheduling primitives (the scalar kernel's semantics, lane-wise) ---
     void scheduleInertial(int sig, std::uint64_t value, std::uint64_t lanes,
                           SimTime delay);
     void scheduleAction(SimTime t, std::uint64_t occ, std::function<void(std::uint64_t)> fn);
@@ -162,6 +174,12 @@ private:
     void driveFsm(int idx, std::uint64_t lanes);
     void driveSaboteur(int idx, std::uint64_t lanes);
 
+    struct FsmState;
+    /// Calls fn(state, input, lanes sharing them) once per distinct
+    /// (state, input) pair among @p lanes of FSM @p f.
+    template <typename Fn>
+    void forEachFsmClass(const WordFsm& f, const FsmState& st, std::uint64_t lanes, Fn&& fn);
+
     // --- fault hook semantics (single-lane) ---------------------------------
     [[nodiscard]] std::uint64_t readLaneState(const WordHook& h, int lane) const;
     void writeLaneState(const WordHook& h, int lane, std::uint64_t v);
@@ -170,8 +188,10 @@ private:
 
     const WordModel& model_;
     std::vector<SigState> sig_;
-    std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
+    Queue queue_;
+    std::vector<Queue::Entry> due_;   ///< wave scratch: entries due now
     std::vector<int> runnable_;       ///< processes woken this wave, wake order
+    std::vector<int> toRun_;          ///< wave scratch: processes woken last wave
     std::vector<char> queued_;        ///< per process: already in runnable_
     std::vector<int> changedSignals_; ///< signals with waveChange != 0
     std::vector<int> tpSignals_;      ///< observed signals with tpChange != 0
@@ -193,6 +213,7 @@ private:
         std::uint64_t forcedMask = 0;
     };
     std::vector<FsmState> fsmState_;
+    std::vector<std::uint64_t> fsmBits_; ///< driveFsm scratch: one word per output bit
     struct SabState {
         std::uint64_t stuckMask = 0;
         std::uint64_t stuckVal = 0;

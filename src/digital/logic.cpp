@@ -113,32 +113,4 @@ Logic logicXor(Logic a, Logic b) noexcept
     return kXor[ux01Index(a)][ux01Index(b)];
 }
 
-Logic logicNot(Logic a) noexcept
-{
-    switch (ux01Index(a)) {
-    case 2:
-        return Logic::One;
-    case 3:
-        return Logic::Zero;
-    case 0:
-        return Logic::U;
-    default:
-        return Logic::X;
-    }
-}
-
-Logic toX01(Logic a) noexcept
-{
-    switch (ux01Index(a)) {
-    case 2:
-        return Logic::Zero;
-    case 3:
-        return Logic::One;
-    case 0:
-        return Logic::U;
-    default:
-        return Logic::X;
-    }
-}
-
 } // namespace gfi::digital

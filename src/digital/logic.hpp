@@ -63,11 +63,39 @@ Logic logicOr(Logic a, Logic b) noexcept;
 Logic logicXor(Logic a, Logic b) noexcept;
 
 /// IEEE 1164 'not'. Unknowns stay X; weak levels are normalized.
-Logic logicNot(Logic a) noexcept;
+constexpr Logic logicNot(Logic a) noexcept
+{
+    switch (a) {
+    case Logic::Zero:
+    case Logic::L:
+        return Logic::One;
+    case Logic::One:
+    case Logic::H:
+        return Logic::Zero;
+    case Logic::U:
+        return Logic::U;
+    default:
+        return Logic::X;
+    }
+}
 
 /// Normalizes weak levels to forcing levels ('L'->'0', 'H'->'1'), everything
 /// non-01 to X. This is VHDL's to_x01.
-Logic toX01(Logic a) noexcept;
+constexpr Logic toX01(Logic a) noexcept
+{
+    switch (a) {
+    case Logic::Zero:
+    case Logic::L:
+        return Logic::Zero;
+    case Logic::One:
+    case Logic::H:
+        return Logic::One;
+    case Logic::U:
+        return Logic::U;
+    default:
+        return Logic::X;
+    }
+}
 
 /// Flips a known 0/1 value; unknowns become X. Used by SEU bit-flip injection.
 constexpr Logic flipped(Logic v) noexcept

@@ -8,10 +8,7 @@ namespace gfi::digital {
 
 void Scheduler::scheduleTransaction(SimTime t, SignalBase& sig, std::uint64_t txnId)
 {
-    if (t < now_) {
-        t = now_; // defensive: never schedule in the past
-    }
-    queue_.push(Entry{t, seq_++, true, {}, &sig, txnId});
+    queue_.push(t < now_ ? now_ : t, seq_++, Target{&sig, txnId}); // never in the past
     if (queue_.size() > queueHighWater_) {
         queueHighWater_ = queue_.size();
     }
@@ -19,10 +16,7 @@ void Scheduler::scheduleTransaction(SimTime t, SignalBase& sig, std::uint64_t tx
 
 void Scheduler::scheduleAction(SimTime t, std::function<void()> action)
 {
-    if (t < now_) {
-        t = now_;
-    }
-    queue_.push(Entry{t, seq_++, false, std::move(action), nullptr, 0});
+    queue_.push(t < now_ ? now_ : t, seq_++, Target{nullptr, queue_.park(std::move(action))});
     if (queue_.size() > queueHighWater_) {
         queueHighWater_ = queue_.size();
     }
@@ -39,7 +33,7 @@ void Scheduler::wake(Process* p)
 
 SimTime Scheduler::nextEventTime() const noexcept
 {
-    return queue_.empty() ? kTimeMax : queue_.top().time;
+    return queue_.nextTime();
 }
 
 void Scheduler::start()
@@ -76,27 +70,22 @@ void Scheduler::runWave()
     // Phase 1: apply signal transactions due now; phase 2: actions; phase 3:
     // woken processes. The wave id advances only after the processes ran, so
     // events stamped in phases 1-2 are visible to them.
-    std::vector<Entry> transactions;
-    std::vector<std::function<void()>> actions;
-    while (!queue_.empty() && queue_.top().time <= now_) {
-        Entry e = queue_.top();
-        queue_.pop();
-        if (e.isTransaction) {
-            transactions.push_back(e);
-        } else {
-            actions.push_back(std::move(e.fn));
+    due_.clear();
+    queue_.popDue(now_, due_);
+    dispatched_ += due_.size();
+    for (const Queue::Entry& e : due_) {
+        if (e.payload.signal != nullptr) {
+            e.payload.signal->applyTxn(e.payload.id);
         }
     }
-    dispatched_ += transactions.size() + actions.size();
-    for (const Entry& e : transactions) {
-        e.signal->applyTxn(e.txnId);
+    for (const Queue::Entry& e : due_) {
+        if (e.payload.signal == nullptr) {
+            queue_.take(e.payload.id)();
+        }
     }
-    for (auto& fn : actions) {
-        fn();
-    }
-    std::vector<Process*> toRun;
-    toRun.swap(runnable_);
-    for (Process* p : toRun) {
+    toRun_.clear();
+    toRun_.swap(runnable_);
+    for (Process* p : toRun_) {
         p->queued_ = false;
         lastProcessRun_ = &p->name();
         p->run();
@@ -118,8 +107,8 @@ void Scheduler::runUntil(SimTime tEnd)
     // Values forced from outside the kernel (testbenches, bridges) may have
     // woken processes without queuing any entry; drain them before advancing.
     runDeltasNow();
-    while (!queue_.empty() && queue_.top().time <= tEnd) {
-        const SimTime t = queue_.top().time;
+    while (!queue_.empty() && queue_.nextTime() <= tEnd) {
+        const SimTime t = queue_.nextTime();
         now_ = t < now_ ? now_ : t;
         std::uint64_t deltasHere = 0;
         while (workPendingNow()) {
@@ -152,23 +141,19 @@ void Scheduler::captureState(snapshot::Writer& w) const
     w.u64(seq_);
     w.u64(waveId_);
     w.u64(deltasRun_);
-    // Drain a copy of the queue so pending transactions serialize in exact
-    // (time, seq) pop order — the order they would apply in.
-    auto copy = queue_;
-    std::vector<Entry> pending;
-    while (!copy.empty()) {
-        if (copy.top().isTransaction) {
-            pending.push_back(copy.top());
+    // The queue visits entries in (time, seq) order: the order pending
+    // transactions would apply in.
+    std::uint64_t pending = 0;
+    queue_.forEach([&](const Queue::Entry& e) { pending += e.payload.signal != nullptr; });
+    w.u64(pending);
+    queue_.forEach([&](const Queue::Entry& e) {
+        if (e.payload.signal != nullptr) {
+            w.i64(e.time);
+            w.u64(e.seq);
+            w.str(e.payload.signal->name());
+            w.u64(e.payload.id);
         }
-        copy.pop();
-    }
-    w.u64(pending.size());
-    for (const Entry& e : pending) {
-        w.i64(e.time);
-        w.u64(e.seq);
-        w.str(e.signal->name());
-        w.u64(e.txnId);
-    }
+    });
 }
 
 void Scheduler::restoreState(snapshot::Reader& r,
@@ -179,7 +164,7 @@ void Scheduler::restoreState(snapshot::Reader& r,
     waveId_ = r.u64();
     deltasRun_ = r.u64();
     started_ = true; // the captured kernel had completed its startup pass
-    queue_ = {};
+    queue_.clear();
     for (Process* p : runnable_) {
         p->queued_ = false;
     }
@@ -193,9 +178,11 @@ void Scheduler::restoreState(snapshot::Reader& r,
         SignalBase& sig = resolve(r.str());
         const std::uint64_t txnId = r.u64();
         // Original sequence numbers are kept so same-wave transactions apply
-        // in the captured order; fresh entries (re-armed actions, new faults)
-        // draw from the restored seq_ counter and sort after these.
-        queue_.push(Entry{t, seq, true, {}, &sig, txnId});
+        // in the captured order. The stream lists them in (time, seq) order
+        // and the queue is empty, so each time's FIFO receives them in seq
+        // order; fresh entries (re-armed actions, new faults) draw from the
+        // restored seq_ counter and queue behind them.
+        queue_.push(t, seq, Target{&sig, txnId});
     }
     // Probe counters are not part of the snapshot format: the campaign layer
     // samples a post-restore baseline and bills runs by delta, so they only

@@ -14,14 +14,28 @@
 // holds for values forced from outside the kernel (mixed-mode bridges, fault
 // injectors): the forcing call stamps the current wave, and the next wave run
 // by runDeltasNow() executes the woken processes before the wave id advances.
+//
+// Pending work lives in an EventQueue (sim/event_queue.hpp), the same type
+// the word kernel (batch::WordSim) uses: one FIFO of POD entries per pending
+// time, each entry (time, seq, signal, id) — a transaction on `signal`, or,
+// with a null signal, the action parked in slot `id`. Every entry draws its
+// seq from one counter, and restore re-inserts the captured transactions in
+// (time, seq) order into an empty queue, so FIFO order is (time, seq) order:
+// a wave applies due transactions in seq order, then runs due actions in seq
+// order, exactly as a (time, seq)-keyed heap would pop them. Cancelled and
+// no-op transactions stay queued and still cost their wave. A wave copies
+// its due entries and its runnable processes into scratch buffers the
+// scheduler keeps, so a run allocates only while those buffers grow; the
+// kernel is therefore not re-entrant (no action or process may call
+// runUntil() or runDeltasNow()).
 
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "sim/watchdog.hpp"
 #include "snapshot/serialize.hpp"
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -161,28 +175,18 @@ public:
                       const std::function<SignalBase&(const std::string&)>& resolve);
 
 private:
-    struct Entry {
-        SimTime time;
-        std::uint64_t seq;
-        bool isTransaction;
-        std::function<void()> fn;          // action payload (empty for transactions)
-        SignalBase* signal = nullptr;      // transaction target
-        std::uint64_t txnId = 0;           // transaction id within the signal
+    /// Queue entry body: a transaction on @c signal, or (null signal) the
+    /// action parked in slot @c id.
+    struct Target {
+        SignalBase* signal;
+        std::uint64_t id;
     };
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const noexcept
-        {
-            if (a.time != b.time) {
-                return a.time > b.time;
-            }
-            return a.seq > b.seq;
-        }
-    };
+    using Queue = EventQueue<Target, std::function<void()>>;
 
     /// True while zero-delay work remains at the current time.
     [[nodiscard]] bool workPendingNow() const noexcept
     {
-        return !runnable_.empty() || (!queue_.empty() && queue_.top().time <= now_);
+        return !runnable_.empty() || queue_.nextTime() <= now_;
     }
 
     void runWave(); // one wave at the current time
@@ -193,9 +197,11 @@ private:
 
     static constexpr std::uint64_t kDefaultDeltaLimit = 1'000'000;
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+    Queue queue_;
+    std::vector<Queue::Entry> due_;  ///< wave scratch: entries due now
     std::vector<Process*> processes_;
     std::vector<Process*> runnable_;
+    std::vector<Process*> toRun_;    ///< wave scratch: processes woken last wave
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t deltasRun_ = 0;

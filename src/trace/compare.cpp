@@ -50,6 +50,16 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
         if (t >= tEnd) {
             break;
         }
+        if (!inMismatch) {
+            // Both traces agree at t. A run of identical events before tEnd
+            // keeps them equal at every timeline point it spans, so no window
+            // opens there: consume it pairwise.
+            while (gi < golden.events.size() && ti < test.events.size() &&
+                   golden.events[gi] == test.events[ti] && golden.events[gi].first < tEnd) {
+                gv = golden.events[gi++].second;
+                tv = test.events[ti++].second;
+            }
+        }
     }
     if (inMismatch) {
         diff.mismatchWindows.emplace_back(windowStart, tEnd);

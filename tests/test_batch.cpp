@@ -24,11 +24,14 @@
 #include "duts/chain_dut.hpp"
 #include "duts/cpu_system.hpp"
 #include "duts/digital_dut.hpp"
+#include "trace/compare.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -776,6 +779,112 @@ TEST(BatchDivergence, MaskMatchesLaneTraces)
     EXPECT_GT(d.some, 0) << "DigitalDut must have lanes that err on only some outputs";
     EXPECT_GT(c.all + d.all, 0) << "some lane must err on every observed signal";
     EXPECT_GT(c.none + d.none, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Word-wide window walk
+
+/// Runs every batch-eligible fault of @p candidates in one WordSim (lane =
+/// list position + 1) and checks WordSim::laneDiffs against compareDigital
+/// of each lane's trace with lane 0's, for every lane and observed slot, at
+/// several observation ends (the run's end, trace point times, and times
+/// between points) and jitter tolerances. Returns how many (lane, slot, end,
+/// tolerance) comparisons erred and how many had windows but all filtered.
+std::pair<int, int> checkLaneDiffs(const fault::TestbenchFactory& factory,
+                                   const std::vector<fault::FaultSpec>& candidates,
+                                   const std::string& tag)
+{
+    const std::unique_ptr<fault::Testbench> tb = factory();
+    const batch::CompileResult compiled = batch::compileWordModel(*tb);
+    EXPECT_NE(compiled.model, nullptr) << tag << ": " << compiled.reason;
+    if (!compiled.model) {
+        return {0, 0};
+    }
+    batch::WordSim sim(*compiled.model);
+    int lanes = 1;
+    for (const fault::FaultSpec& f : candidates) {
+        if (lanes < 64 && batch::faultEligibility(*compiled.model, f).eligible) {
+            EXPECT_TRUE(sim.armFault(lanes++, f)) << tag;
+        }
+    }
+    EXPECT_GE(lanes, 5) << tag;
+    EXPECT_TRUE(sim.run()) << tag;
+
+    int erred = 0;
+    int filtered = 0;
+    const std::vector<std::string>& observed = tb->observedDigital();
+    const SimTime duration = compiled.model->duration;
+    for (std::size_t k = 0; k < observed.size(); ++k) {
+        const int obs = static_cast<int>(k);
+        std::vector<SimTime> ends = {duration, duration / 2, 0};
+        const auto& points = sim.points(obs);
+        for (std::size_t i = 1; i < points.size(); i += std::max<std::size_t>(1, points.size() / 5)) {
+            ends.push_back(points[i].time);     // a point exactly at the end
+            ends.push_back(points[i].time - 1); // just before it
+        }
+        const trace::DigitalTrace lane0 = sim.laneTrace(obs, 0, observed[k]);
+        for (const SimTime tEnd : ends) {
+            for (const SimTime minWindow :
+                 {SimTime{0}, kNanosecond, 7 * kNanosecond, 60 * kNanosecond}) {
+                const std::array<batch::LaneDiff, 64> diffs = sim.laneDiffs(obs, tEnd, minWindow);
+                for (int lane = 0; lane < lanes; ++lane) {
+                    const trace::DigitalDiff ref = trace::compareDigital(
+                        lane0, sim.laneTrace(obs, lane, observed[k]), tEnd, minWindow);
+                    const batch::LaneDiff& d = diffs[static_cast<std::size_t>(lane)];
+                    const std::string where = tag + " " + observed[k] + " lane " +
+                                              std::to_string(lane) + " tEnd " +
+                                              std::to_string(tEnd) + " minWindow " +
+                                              std::to_string(minWindow);
+                    EXPECT_EQ(d.erred, !ref.identical()) << where;
+                    if (d.erred && !ref.identical()) {
+                        EXPECT_EQ(d.first, ref.firstMismatch) << where;
+                        EXPECT_EQ(d.lastEnd, ref.lastMismatchEnd) << where;
+                        EXPECT_EQ(d.total, ref.totalMismatch) << where;
+                        EXPECT_EQ(d.lastEnd < tEnd, ref.matchesAt(tEnd)) << where;
+                        ++erred;
+                    } else if (minWindow > 0 &&
+                               !trace::compareDigital(lane0,
+                                                      sim.laneTrace(obs, lane, observed[k]),
+                                                      tEnd, 0)
+                                    .identical()) {
+                        ++filtered;
+                    }
+                }
+                // Lanes beyond the armed ones replay lane 0.
+                for (std::size_t lane = static_cast<std::size_t>(lanes); lane < 64; ++lane) {
+                    EXPECT_FALSE(diffs[lane].erred) << tag << " idle lane " << lane;
+                }
+            }
+        }
+    }
+    return {erred, filtered};
+}
+
+TEST(BatchWindowWalk, LaneDiffsMatchCompareDigital)
+{
+    const fault::TestbenchFactory chain = [] {
+        return std::make_unique<duts::ChainDutTestbench>();
+    };
+    std::vector<fault::FaultSpec> chainFaults;
+    {
+        const duts::ChainDutTestbench probe;
+        const SimTime t = 800 * kNanosecond + 3 * kNanosecond;
+        for (const std::string& sab : probe.digitalSaboteurNames()) {
+            chainFaults.emplace_back(fault::StuckAtFault{sab, Logic::One, t, 0});
+            chainFaults.emplace_back(
+                fault::StuckAtFault{sab, Logic::One, t + 20 * kNanosecond, 3 * kNanosecond});
+            chainFaults.emplace_back(
+                fault::StuckAtFault{sab, Logic::Zero, t + 40 * kNanosecond, 150 * kNanosecond});
+        }
+    }
+    const auto [chainErred, chainFiltered] = checkLaneDiffs(chain, chainFaults, "chain");
+
+    const fault::TestbenchFactory dut = [] {
+        return std::make_unique<duts::DigitalDutTestbench>();
+    };
+    const auto [dutErred, dutFiltered] = checkLaneDiffs(dut, digitalDutFaults(), "digital");
+    EXPECT_GT(chainErred + dutErred, 0);
+    EXPECT_GT(chainFiltered + dutFiltered, 0) << "some window must fall below a tolerance";
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "core/report.hpp"
 #include "digital/sequential.hpp"
 #include "duts/digital_dut.hpp"
+#include "io/sha256.hpp"
 #include "lint/lint.hpp"
 #include "pll/pll.hpp"
 #include "snapshot/serialize.hpp"
@@ -31,6 +32,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
 #include <sstream>
 
 namespace gfi {
@@ -259,6 +261,129 @@ TEST(SnapshotRestore, RestoreRejectsStructuralMismatch)
     cfg.duration = 20 * kMicrosecond;
     pll::PllTestbench other(cfg);
     EXPECT_THROW(other.sim().restoreSnapshot(snap), snapshot::SnapshotFormatError);
+}
+
+// ---------------------------------------------------------------------------
+// snapshot bytes: pinned digests and capture -> restore -> capture identity
+
+std::string snapshotDigest(const snapshot::Snapshot& snap)
+{
+    return io::sha256Hex(std::string_view(reinterpret_cast<const char*>(snap.bytes.data()),
+                                          snap.bytes.size()));
+}
+
+TEST(SnapshotBytes, DigitalDutCapturesArePinned)
+{
+    // The scheduler section serializes pending transactions in (time, seq)
+    // order; these digests pin that order, the counters and every component
+    // payload at three mid-run instants of one golden run.
+    duts::DigitalDutTestbench tb;
+    std::vector<std::string> got;
+    for (const SimTime t : {kMicrosecond, 2 * kMicrosecond + 3 * kNanosecond,
+                            3 * kMicrosecond + 500 * kNanosecond}) {
+        got.push_back(snapshotDigest(captureAtOrAfter(tb, t)));
+    }
+    EXPECT_EQ(got, (std::vector<std::string>{
+                       "ff92e08a224c983313e760050c5bbe4cde5affa095b4b37ff92609bcfe4e3f69",
+                       "eba92997d1e3362c2f3c0150b5a25c3789986cc879f04c26e7424e1900ba32cb",
+                       "410c46092e88b8b8d21d71bb25c237824eed5e090a3d69fad2271249e684c13b"}));
+}
+
+TEST(SnapshotBytes, PllGoldenCheckpointIsPinned)
+{
+    pll::PllConfig cfg;
+    cfg.duration = 20 * kMicrosecond;
+    pll::PllTestbench tb(cfg);
+    EXPECT_EQ(snapshotDigest(captureAtOrAfter(tb, 8 * kMicrosecond)),
+              "74f945d409f88bf5a00110250c7eef362a63ddfdc73f6dfc2b78b60adbb91101");
+}
+
+/// The pending queue as a snapshot records it.
+struct PendingView {
+    std::size_t seqOffset = 0;     ///< byte offset of the scheduler's seq counter
+    std::uint64_t seq = 0;         ///< next sequence number
+    std::uint64_t transactions = 0;
+    std::set<SimTime> times;       ///< transaction times + armed edges of @p clockGen
+};
+
+PendingView decodePending(const snapshot::Snapshot& snap, const std::string& clockGen)
+{
+    snapshot::Reader r(snap.bytes);
+    snapshot::readHeader(r);
+    PendingView v;
+    r.i64(); // now
+    v.seqOffset = snap.bytes.size() - r.remaining();
+    v.seq = r.u64();
+    r.u64(); // wave id
+    r.u64(); // deltas run
+    v.transactions = r.u64();
+    for (std::uint64_t i = 0; i < v.transactions; ++i) {
+        v.times.insert(r.i64());
+        r.u64(); // seq
+        r.str(); // signal
+        r.u64(); // txn id
+    }
+    for (std::uint64_t n = r.u64(); n > 0; --n) { // signals
+        r.str();
+        r.blob();
+    }
+    for (std::uint64_t n = r.u64(); n > 0; --n) { // components
+        const std::string name = r.str();
+        const std::vector<std::uint8_t> payload = r.blob();
+        if (name == clockGen) {
+            snapshot::Reader c(payload);
+            v.times.insert(c.i64()); // next rising edge
+            const SimTime fall = c.i64();
+            if (fall >= 0) {
+                v.times.insert(fall);
+            }
+        }
+    }
+    return v;
+}
+
+TEST(SnapshotBytes, CaptureRestoreCaptureIsByteIdentical)
+{
+    // Step the golden DigitalDut event by event to the first instant where
+    // transactions are pending, the clock generator has both edges armed and
+    // the pending entries span at least three distinct future times.
+    duts::DigitalDutTestbench donor;
+    auto& sim = donor.sim();
+    auto& sched = sim.digital().scheduler();
+    sim.elaborate();
+    snapshot::Snapshot snap;
+    PendingView before;
+    while (true) {
+        const SimTime ev = sched.nextEventTime();
+        ASSERT_LT(ev, donor.duration()) << "no instant with three pending times";
+        sim.run(ev);
+        snap = sim.captureSnapshot();
+        before = decodePending(snap, "dut/clkgen");
+        if (before.transactions > 0 && before.times.size() >= 3 &&
+            sched.pendingEvents() >= before.transactions + 2) {
+            break;
+        }
+    }
+    EXPECT_GT(*before.times.begin(), snap.time);
+
+    // A restored twin captures the same bytes. The one field that moves is
+    // the seq counter: each action re-armed on restore draws a fresh number.
+    duts::DigitalDutTestbench twin;
+    twin.sim().restoreSnapshot(snap);
+    const std::uint64_t rearmed =
+        twin.sim().digital().scheduler().pendingEvents() - before.transactions;
+    EXPECT_GE(rearmed, 2u);
+    const snapshot::Snapshot again = twin.sim().captureSnapshot();
+    const PendingView after = decodePending(again, "dut/clkgen");
+    EXPECT_EQ(again.time, snap.time);
+    EXPECT_EQ(after.seqOffset, before.seqOffset);
+    EXPECT_EQ(after.seq, before.seq + rearmed);
+    std::vector<std::uint8_t> expected = snap.bytes;
+    snapshot::Writer seq;
+    seq.u64(after.seq);
+    std::copy(seq.bytes().begin(), seq.bytes().end(),
+              expected.begin() + static_cast<std::ptrdiff_t>(before.seqOffset));
+    EXPECT_EQ(again.bytes, expected);
 }
 
 // ---------------------------------------------------------------------------
