@@ -16,10 +16,13 @@
 #include "duts/digital_dut.hpp"
 #include "obs/telemetry.hpp"
 #include "pll/pll.hpp"
+#include "trace/compare.hpp"
 
 #include "pll_bench_common.hpp"
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 using namespace gfi;
 
@@ -196,6 +199,38 @@ void BM_PllMixedSimulation(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 1000); // output cycles
 }
 BENCHMARK(BM_PllMixedSimulation)->Unit(benchmark::kMillisecond);
+
+// --- trace layer: classifying a forked analog run ------------------------------
+
+void BM_CompareAnalogForked(benchmark::State& state)
+{
+    // The shape of a forked Fig. 8 run's V_ctrl comparison: a 550k-sample
+    // golden trace (a 40 us run at ~72 ps per accepted step) against a run
+    // that carries golden's first 450k samples and then diverges, sampled
+    // half a step off golden's grid.
+    constexpr std::size_t kGolden = 550'000;
+    constexpr std::size_t kShared = 450'000;
+    constexpr double kStep = 72e-12;
+    trace::AnalogTrace golden;
+    trace::AnalogTrace forked;
+    golden.samples.reserve(kGolden);
+    for (std::size_t k = 0; k < kGolden; ++k) {
+        const double t = static_cast<double>(k) * kStep;
+        golden.samples.emplace_back(t, 0.9 + 0.05 * std::sin(t * 2e7));
+    }
+    forked.samples.assign(golden.samples.begin(),
+                          golden.samples.begin() + static_cast<std::ptrdiff_t>(kShared));
+    for (std::size_t k = kShared; k < kGolden; ++k) {
+        const double t = (static_cast<double>(k) + 0.5) * kStep;
+        forked.samples.emplace_back(t, 0.9 + 0.05 * std::sin(t * 2e7) + 0.02);
+    }
+    for (auto _ : state) {
+        const trace::AnalogDiff diff = trace::compareAnalog(golden, forked, 5e-3);
+        benchmark::DoNotOptimize(diff.maxDeviation);
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kGolden));
+}
+BENCHMARK(BM_CompareAnalogForked)->Unit(benchmark::kMillisecond);
 
 // --- telemetry overhead ---------------------------------------------------------
 

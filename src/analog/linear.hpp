@@ -3,6 +3,9 @@
 //
 // AMS behavioral circuits are tens of unknowns; a dense LU with partial
 // pivoting beats any sparse machinery at this size and is trivially robust.
+// At that size the factorization is not what a transient run costs: the
+// Fig. 8 PLL has 4 unknowns, and its time goes to the number of accepted
+// steps (one stamp/solve/probe round each), not to the LU inside a step.
 
 #include <vector>
 

@@ -35,8 +35,12 @@ TransientSolver::TransientSolver(AnalogSystem& sys, SolverOptions options)
     const int n = sys.unknownCount();
     A_.resize(n);
     rhs_.assign(static_cast<std::size_t>(n), 0.0);
+    xSolve_.assign(static_cast<std::size_t>(n), 0.0);
     if (sys.state().size() != static_cast<std::size_t>(n)) {
         sys.state().assign(static_cast<std::size_t>(n), 0.0);
+    }
+    for (const auto& comp : sys.components()) {
+        anyNonlinear_ = anyNonlinear_ || comp->isNonlinear();
     }
 }
 
@@ -47,13 +51,8 @@ bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dc
     const double t1 = tEvalOverride >= 0.0 ? tEvalOverride : time_ + dt;
     sawNonFinite_ = false;
 
-    bool anyNonlinear = false;
-    for (const auto& comp : sys_->components()) {
-        anyNonlinear = anyNonlinear || comp->isNonlinear();
-    }
-
     xOut = sys_->state();
-    const int iterCap = anyNonlinear ? options_.maxNewtonIter : 1;
+    const int iterCap = anyNonlinear_ ? options_.maxNewtonIter : 1;
     for (int iter = 0; iter < iterCap; ++iter) {
         ++stats_.newtonIterations;
         A_.clear();
@@ -68,7 +67,8 @@ bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dc
             stamper.conductance(node, kGround, options_.gmin);
         }
 
-        std::vector<double> x = rhs_;
+        std::vector<double>& x = xSolve_;
+        x = rhs_;
         ++stats_.linearSolves;
         if (!luSolveInPlace(A_, x)) {
             return false; // singular matrix
@@ -84,8 +84,8 @@ bool TransientSolver::trySolveStep(double dt, std::vector<double>& xOut, bool dc
                                 std::fabs(x[static_cast<std::size_t>(i)] -
                                           xOut[static_cast<std::size_t>(i)]));
         }
-        xOut = std::move(x);
-        if (!anyNonlinear || maxDelta < options_.newtonTol) {
+        xOut.swap(x);
+        if (!anyNonlinear_ || maxDelta < options_.newtonTol) {
             return true;
         }
     }
@@ -122,11 +122,10 @@ double TransientSolver::nextBreakpoint(double tMax)
     const double eps = std::max(1e-18, std::fabs(time_) * 1e-15);
     double best = tMax;
 
-    std::vector<double> scratch;
     for (const auto& comp : sys_->components()) {
-        scratch.clear();
-        comp->collectBreakpoints(time_ + eps, tMax, scratch);
-        for (double bp : scratch) {
+        breakpointScratch_.clear();
+        comp->collectBreakpoints(time_ + eps, tMax, breakpointScratch_);
+        for (double bp : breakpointScratch_) {
             if (bp > time_ + eps && bp < best) {
                 best = bp;
             }
@@ -270,7 +269,7 @@ double TransientSolver::advanceTo(double tStop)
     if (!dcDone_) {
         solveDc();
     }
-    std::vector<double> xCand;
+    std::vector<double>& xCand = xCand_;
 
     while (time_ < tStop) {
         if (watchdog_ != nullptr) {
@@ -357,10 +356,11 @@ double TransientSolver::advanceTo(double tStop)
                 // the step from the committed state with shrinking dt.
                 double lo = 0.0;
                 double hi = dt;
-                std::vector<double> xHi = xCand;
+                std::vector<double>& xHi = xHi_;
+                xHi = xCand;
                 while (hi - lo > options_.crossingTol) {
                     const double mid = 0.5 * (lo + hi);
-                    std::vector<double> xMid;
+                    std::vector<double>& xMid = xMid_;
                     if (!trySolveStep(mid, xMid, false)) {
                         break; // give up refining; use hi
                     }
@@ -373,13 +373,13 @@ double TransientSolver::advanceTo(double tStop)
                     }
                     if (crossedByMid) {
                         hi = mid;
-                        xHi = std::move(xMid);
+                        xHi.swap(xMid);
                     } else {
                         lo = mid;
                     }
                 }
                 dt = hi;
-                xCand = std::move(xHi);
+                xCand.swap(xHi);
                 ++stats_.crossingsLocated;
 
                 // Determine which monitors fire at this cut.

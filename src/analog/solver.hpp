@@ -187,6 +187,14 @@ private:
     std::vector<std::unique_ptr<CrossingMonitor>> monitors_;
     std::vector<std::function<void(double)>> probes_;
     std::set<double> breakpoints_;
+    bool anyNonlinear_ = false; ///< Newton iterates only for nonlinear systems
+
+    // Per-step scratch, reused so a solver step does not allocate.
+    std::vector<double> xSolve_;            ///< LU right-hand side / solution
+    std::vector<double> xCand_;             ///< candidate end-of-step solution
+    std::vector<double> xHi_;               ///< crossing bisection: latest crossed
+    std::vector<double> xMid_;              ///< crossing bisection: midpoint solve
+    std::vector<double> breakpointScratch_; ///< one component's breakpoints
 
     double time_ = 0.0;
     double dtNext_;

@@ -82,70 +82,56 @@ DigitalDiff compareDigital(const DigitalTrace& golden, const DigitalTrace& test,
     return diff;
 }
 
-AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test, double absTol,
-                         double relTol)
-{
-    // Sample lists are recorded in ascending time order, so the merged
-    // timeline comes from a linear merge; a full sort over millions of
-    // analog samples would dominate the whole classification.
-    std::vector<double> ga;
-    std::vector<double> ta;
-    ga.reserve(golden.samples.size());
-    ta.reserve(test.samples.size());
-    for (const auto& [t, v] : golden.samples) {
-        ga.push_back(t);
-    }
-    for (const auto& [t, v] : test.samples) {
-        ta.push_back(t);
-    }
-    std::vector<double> times(ga.size() + ta.size());
-    if (std::is_sorted(ga.begin(), ga.end()) && std::is_sorted(ta.begin(), ta.end())) {
-        std::merge(ga.begin(), ga.end(), ta.begin(), ta.end(), times.begin());
-    } else {
-        times.clear();
-        times.insert(times.end(), ga.begin(), ga.end());
-        times.insert(times.end(), ta.begin(), ta.end());
-        std::sort(times.begin(), times.end());
-    }
-    times.erase(std::unique(times.begin(), times.end()), times.end());
+namespace {
 
-    // Monotone interpolation cursor per trace (ascending queries walk each
-    // sample list once; identical to AnalogTrace::valueAt's interpolation).
-    struct Cursor {
-        const std::vector<std::pair<double, double>>& s;
-        std::size_t i = 1; ///< candidate upper interval bound
+using Samples = std::vector<std::pair<double, double>>;
 
-        double at(double t)
-        {
-            if (s.empty()) {
-                return 0.0;
-            }
-            if (t <= s.front().first) {
-                return s.front().second;
-            }
-            if (t >= s.back().first) {
-                return s.back().second;
-            }
-            while (i < s.size() && s[i].first < t) {
-                ++i;
-            }
-            const auto& [t1, v1] = s[i];
-            const auto& [t0, v0] = s[i - 1];
-            if (t1 <= t0) {
-                return v1;
-            }
-            return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+/// Monotone interpolation cursor over one sample list: ascending queries walk
+/// the list once. Identical to AnalogTrace::valueAt's interpolation; @c i is
+/// the candidate upper interval bound, and any start in [1, lower_bound(t)]
+/// yields the same value at t.
+struct Cursor {
+    const Samples& s;
+    std::size_t i = 1;
+
+    double at(double t)
+    {
+        if (s.empty()) {
+            return 0.0;
         }
-    };
-    Cursor goldenCur{golden.samples};
-    Cursor testCur{test.samples};
+        if (t <= s.front().first) {
+            return s.front().second;
+        }
+        if (t >= s.back().first) {
+            return s.back().second;
+        }
+        while (i < s.size() && s[i].first < t) {
+            ++i;
+        }
+        const auto& [t1, v1] = s[i];
+        const auto& [t0, v0] = s[i - 1];
+        if (t1 <= t0) {
+            return v1;
+        }
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
+    }
+};
 
-    AnalogDiff diff;
+/// Folds ascending timeline points into an AnalogDiff.
+struct DeviationScan {
+    Cursor golden;
+    Cursor test;
+    double absTol;
+    double relTol;
+    AnalogDiff diff{};
     bool outside = false;
     double outsideStart = 0.0;
-    for (double t : times) {
-        const double g = goldenCur.at(t);
-        const double v = testCur.at(t);
+    double last = 0.0; ///< most recent timeline point
+
+    void visit(double t)
+    {
+        const double g = golden.at(t);
+        const double v = test.at(t);
         const double dev = std::fabs(v - g);
         if (dev > diff.maxDeviation) {
             diff.maxDeviation = dev;
@@ -165,12 +151,106 @@ AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test, dou
             outside = false;
             diff.timeOutsideTol += t - outsideStart;
         }
+        last = t;
     }
-    if (outside && !times.empty()) {
-        diff.timeOutsideTol += times.back() - outsideStart;
-        diff.withinTolAtEnd = false;
+
+    AnalogDiff finish()
+    {
+        if (outside) {
+            diff.timeOutsideTol += last - outsideStart;
+            diff.withinTolAtEnd = false;
+        }
+        return diff;
     }
-    return diff;
+};
+
+/// Fallback for sample lists that are not in time order: the timeline is the
+/// sorted, deduplicated union of both lists' times.
+AnalogDiff compareUnsorted(const Samples& gs, const Samples& ts, double absTol, double relTol)
+{
+    std::vector<double> times;
+    times.reserve(gs.size() + ts.size());
+    for (const auto& [t, v] : gs) {
+        times.push_back(t);
+    }
+    for (const auto& [t, v] : ts) {
+        times.push_back(t);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    DeviationScan scan{{gs}, {ts}, absTol, relTol};
+    for (double t : times) {
+        scan.visit(t);
+    }
+    return scan.finish();
+}
+
+} // namespace
+
+AnalogDiff compareAnalog(const AnalogTrace& golden, const AnalogTrace& test, double absTol,
+                         double relTol)
+{
+    const Samples& gs = golden.samples;
+    const Samples& ts = test.samples;
+    const auto unsortedAt = [](const Samples& s, std::size_t k) {
+        return k > 0 && s[k].first < s[k - 1].first;
+    };
+
+    // Common prefix. A forked run carries golden's samples up to its
+    // checkpoint and an injected run matches golden up to its strike, so
+    // the leading samples usually agree. Before the last shared sample time
+    // T both cursors interpolate between the same sample pairs, so every
+    // timeline point strictly before T has deviation 0 (or NaN from
+    // infinite values), and with non-negative tolerances such a point
+    // changes nothing in the diff. The walk therefore starts at the first
+    // shared sample at T: the point at T itself is still evaluated, since
+    // one trace may end there while the other interpolates.
+    std::size_t start = 0;
+    if (absTol >= 0.0 && relTol >= 0.0) {
+        const std::size_t n = std::min(gs.size(), ts.size());
+        std::size_t shared = 0;
+        for (; shared < n && gs[shared] == ts[shared]; ++shared) {
+            if (unsortedAt(gs, shared)) {
+                return compareUnsorted(gs, ts, absTol, relTol);
+            }
+        }
+        if (shared > 0) {
+            start = static_cast<std::size_t>(
+                std::lower_bound(gs.begin(), gs.begin() + static_cast<std::ptrdiff_t>(shared),
+                                 gs[shared - 1].first,
+                                 [](const std::pair<double, double>& s, double time) {
+                                     return s.first < time;
+                                 }) -
+                gs.begin());
+        }
+    }
+
+    // Two-cursor merge of the remaining sample times, emitting each distinct
+    // time once: the same timeline, element for element, as std::merge
+    // followed by std::unique (ties take golden's time first).
+    DeviationScan scan{{gs, std::max<std::size_t>(start, 1)},
+                       {ts, std::max<std::size_t>(start, 1)},
+                       absTol,
+                       relTol};
+    std::size_t i = start;
+    std::size_t j = start;
+    bool visited = false;
+    while (i < gs.size() || j < ts.size()) {
+        const bool fromGolden =
+            j == ts.size() || (i < gs.size() && !(ts[j].first < gs[i].first));
+        const Samples& s = fromGolden ? gs : ts;
+        std::size_t& k = fromGolden ? i : j;
+        if (unsortedAt(s, k)) {
+            return compareUnsorted(gs, ts, absTol, relTol);
+        }
+        const double t = s[k++].first;
+        if (visited && scan.last == t) {
+            continue;
+        }
+        visited = true;
+        scan.visit(t);
+    }
+    return scan.finish();
 }
 
 } // namespace gfi::trace

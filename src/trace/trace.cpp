@@ -91,13 +91,12 @@ void Recorder::preloadPrefix(const Recorder& golden, SimTime tDigital, double tA
         }
         const DigitalTrace& g = it->second;
         tr.initial = g.initial;
+        const auto end = std::upper_bound(
+            g.events.begin(), g.events.end(), tDigital,
+            [](SimTime t, const std::pair<SimTime, digital::Logic>& ev) { return t < ev.first; });
         tr.events.clear();
-        for (const auto& ev : g.events) {
-            if (ev.first > tDigital) {
-                break;
-            }
-            tr.events.push_back(ev);
-        }
+        tr.events.reserve(g.events.size());
+        tr.events.assign(g.events.begin(), end);
     }
     for (auto& [name, tr] : analog_) {
         const auto it = golden.analog_.find(name);
@@ -106,13 +105,16 @@ void Recorder::preloadPrefix(const Recorder& golden, SimTime tDigital, double tA
                                    name + "'");
         }
         const AnalogTrace& g = it->second;
+        const auto end =
+            std::upper_bound(g.samples.begin(), g.samples.end(), tAnalog,
+                             [](double t, const std::pair<double, double>& s) { return t < s.first; });
+        // Room for golden's length plus its suffix once more: a faulty suffix
+        // usually takes a few more solver steps than golden's, and growing
+        // past a golden-length buffer would double the whole trace.
+        const auto suffix = static_cast<std::size_t>(g.samples.end() - end);
         tr.samples.clear();
-        for (const auto& sample : g.samples) {
-            if (sample.first > tAnalog) {
-                break;
-            }
-            tr.samples.push_back(sample);
-        }
+        tr.samples.reserve(g.samples.size() + suffix);
+        tr.samples.assign(g.samples.begin(), end);
     }
 }
 

@@ -58,7 +58,9 @@ public:
     /// discarding anything this recorder captured during elaboration. Call
     /// right after MixedSimulator::restoreSnapshot(); the resumed run then
     /// appends only post-checkpoint history, so the combined traces are
-    /// byte-identical to an uninterrupted run's.
+    /// byte-identical to an uninterrupted run's. Golden traces are recorded
+    /// in time order, so each prefix is one bulk copy, into storage sized
+    /// from golden's whole trace so the resumed appends rarely reallocate.
     void preloadPrefix(const Recorder& golden, SimTime tDigital, double tAnalog);
 
     /// Recorded digital trace (throws std::out_of_range if not recorded).
