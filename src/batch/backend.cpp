@@ -104,9 +104,9 @@ bool goldenCrossCheck(const WordSim& sim, const WordModel& model, const BatchReq
     return true;
 }
 
-/// Classifies one faulty lane against the golden reference — a word-level
-/// mirror of CampaignRunner::classify() (digital and state comparisons; the
-/// analog loop is vacuous because eligible designs observe no analog nodes).
+/// Classifies one faulty lane against the golden reference through the same
+/// VerdictFold as CampaignRunner::classify() (digital and state feeds; there
+/// is no analog feed because eligible designs observe no analog nodes).
 /// @p diffs holds WordSim::laneDiffs() per observed signal: after the golden
 /// cross-check lane 0 carries the golden trace's settled value at every time
 /// point and every golden event is two-valued, so a lane's windows against
@@ -118,45 +118,19 @@ campaign::RunResult classifyLane(const WordSim& sim, const WordModel& model,
 {
     campaign::RunResult result;
     result.fault = fault;
-
-    const SimTime tEnd = model.duration;
-    bool anyOutputError = false;
-    bool recoveredEverywhere = true;
+    campaign::VerdictFold verdict(result, model.duration);
 
     const std::vector<std::string>& observed = req.golden->observedDigital();
     for (std::size_t k = 0; k < observed.size(); ++k) {
         const LaneDiff& diff = diffs[k][static_cast<std::size_t>(lane)];
-        if (diff.erred) {
-            anyOutputError = true;
-            result.erredSignals.push_back(observed[k]);
-            if (result.firstOutputError < 0 || diff.first < result.firstOutputError) {
-                result.firstOutputError = diff.first;
-            }
-            if (diff.lastEnd > result.lastOutputErrorEnd) {
-                result.lastOutputErrorEnd = diff.lastEnd;
-            }
-            result.totalOutputErrorTime += diff.total;
-            // DigitalDiff::matchesAt(tEnd): the last window ends before tEnd.
-            recoveredEverywhere = recoveredEverywhere && diff.lastEnd < tEnd;
-        }
+        verdict.digital(observed[k], diff.first, diff.lastEnd, diff.total);
     }
 
     for (const std::string& name : req.golden->observedState()) {
         const auto hook = model.hooks.find(name);
         const auto gold = req.goldenState->find(name);
-        if (hook != model.hooks.end() && gold != req.goldenState->end() &&
-            sim.hookValue(hook->second, lane) != gold->second) {
-            result.corruptedState.push_back(name);
-        }
-    }
-
-    if (anyOutputError) {
-        result.outcome = recoveredEverywhere ? campaign::Outcome::TransientError
-                                             : campaign::Outcome::Failure;
-    } else if (!result.corruptedState.empty()) {
-        result.outcome = campaign::Outcome::Latent;
-    } else {
-        result.outcome = campaign::Outcome::Silent;
+        verdict.state(name, hook != model.hooks.end() && gold != req.goldenState->end() &&
+                                sim.hookValue(hook->second, lane) != gold->second);
     }
 
     result.diagnostics.digitalWaves = sim.waveCount(lane);

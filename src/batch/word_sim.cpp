@@ -732,17 +732,6 @@ std::array<LaneDiff, 64> WordSim::laneDiffs(int obs, SimTime tEnd, SimTime minWi
     return diffs;
 }
 
-std::uint64_t WordSim::divergenceMask(int obs) const
-{
-    std::uint64_t mask = 0;
-    for (const TracePoint& p : points(obs)) {
-        const std::uint64_t changed0 = 0 - (p.changed & 1);
-        const std::uint64_t value0 = 0 - (p.value & 1);
-        mask |= (p.changed ^ changed0) | (p.changed & (p.value ^ value0));
-    }
-    return mask;
-}
-
 std::uint64_t WordSim::hookValue(const WordHook& h, int lane) const
 {
     return readLaneState(h, lane);

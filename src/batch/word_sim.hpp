@@ -9,7 +9,7 @@
 // state of every sequential element and the wave (delta-cycle) count are
 // identical to what one scalar event-driven run of that lane's circuit would
 // produce. The campaign backend relies on this to classify lanes by their
-// divergence masks against lane 0 and emit byte-identical results.
+// mismatch windows against lane 0 and emit byte-identical results.
 //
 // The replication hinges on three bookkeeping words per signal: the value
 // word, a previous-value word with last-change semantics (rising-edge
@@ -98,12 +98,6 @@ public:
     /// for every lane L at once, in one pass over the slot's points.
     [[nodiscard]] std::array<LaneDiff, 64> laneDiffs(int obs, SimTime tEnd,
                                                      SimTime minWindow) const;
-
-    /// Lanes whose trace on observed slot @p obs differs from lane 0's: the
-    /// OR over the slot's points of (changed ^ bcast(changed & 1)) |
-    /// (changed & (value ^ bcast(value & 1))). All lanes share the initial
-    /// bit, so a clear bit means laneTrace(obs, L) == laneTrace(obs, 0).
-    [[nodiscard]] std::uint64_t divergenceMask(int obs) const;
 
     /// Lane @p lane's end-of-run value of hook @p h (instrumentation get()).
     [[nodiscard]] std::uint64_t hookValue(const WordHook& h, int lane) const;

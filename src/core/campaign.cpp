@@ -35,21 +35,15 @@ enum class Source : unsigned char {
     Simulated, ///< a contained event-driven run on a worker
 };
 
-/// The result of an expanded (not simulated) member of a collapse class:
-/// the representative's classification verbatim, zero resource consumption,
-/// provenance in diagnostics.collapsedFrom.
+/// The result of an expanded (not simulated) member of a collapse class: the
+/// representative's whole result, so every verdict field carries over, with
+/// fresh diagnostics — its error text, zero resource consumption and
+/// provenance in collapsedFrom.
 RunResult expandCollapsed(const RunResult& rep, const fault::FaultSpec& member)
 {
-    RunResult r;
+    RunResult r = rep;
     r.fault = member;
-    r.outcome = rep.outcome;
-    r.firstOutputError = rep.firstOutputError;
-    r.lastOutputErrorEnd = rep.lastOutputErrorEnd;
-    r.totalOutputErrorTime = rep.totalOutputErrorTime;
-    r.maxAnalogDeviation = rep.maxAnalogDeviation;
-    r.analogTimeOutsideTol = rep.analogTimeOutsideTol;
-    r.erredSignals = rep.erredSignals;
-    r.corruptedState = rep.corruptedState;
+    r.diagnostics = RunDiagnostics{};
     r.diagnostics.error = rep.diagnostics.error;
     r.diagnostics.collapsedFrom = fault::describe(rep.fault);
     return r;
@@ -262,6 +256,61 @@ std::string targetOf(const fault::FaultSpec& fault)
 }
 
 // ---------------------------------------------------------------------------
+// VerdictFold
+
+void VerdictFold::digital(const std::string& name, SimTime first, SimTime lastEnd,
+                          SimTime total)
+{
+    if (first < 0) {
+        return;
+    }
+    r_.erredSignals.push_back(name);
+    noteFirstError(first);
+    r_.lastOutputErrorEnd = std::max(r_.lastOutputErrorEnd, lastEnd);
+    r_.totalOutputErrorTime += total;
+    // A window that reaches tEnd was still open when observation stopped.
+    recovered_ = recovered_ && lastEnd < tEnd_;
+    decide();
+}
+
+void VerdictFold::analog(const std::string& name, const trace::AnalogDiff& diff)
+{
+    r_.maxAnalogDeviation = std::max(r_.maxAnalogDeviation, diff.maxDeviation);
+    if (diff.withinTolerance()) {
+        return;
+    }
+    r_.erredSignals.push_back(name);
+    noteFirstError(fromSeconds(diff.firstExceed));
+    r_.analogTimeOutsideTol += diff.timeOutsideTol;
+    recovered_ = recovered_ && diff.withinTolAtEnd;
+    decide();
+}
+
+void VerdictFold::state(const std::string& name, bool differs)
+{
+    if (differs) {
+        r_.corruptedState.push_back(name);
+        decide();
+    }
+}
+
+void VerdictFold::noteFirstError(SimTime t) noexcept
+{
+    if (r_.firstOutputError < 0 || t < r_.firstOutputError) {
+        r_.firstOutputError = t;
+    }
+}
+
+void VerdictFold::decide() noexcept
+{
+    if (!r_.erredSignals.empty()) {
+        r_.outcome = recovered_ ? Outcome::TransientError : Outcome::Failure;
+    } else {
+        r_.outcome = r_.corruptedState.empty() ? Outcome::Silent : Outcome::Latent;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // CampaignRunner
 
 CampaignRunner::CampaignRunner(fault::TestbenchFactory factory, Tolerance tolerance)
@@ -448,10 +497,8 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
 {
     RunResult result;
     result.fault = fault;
-
     const SimTime tEnd = tb.duration();
-    bool anyOutputError = false;
-    bool recoveredEverywhere = true;
+    VerdictFold verdict(result, tEnd);
 
     // Digital outputs: exact comparison.
     for (const std::string& name : tb.observedDigital()) {
@@ -459,54 +506,21 @@ RunResult CampaignRunner::classify(fault::Testbench& tb, const fault::FaultSpec&
             trace::compareDigital(golden_->recorder().digitalTrace(name),
                                   tb.recorder().digitalTrace(name), tEnd,
                                   tolerance_.digitalJitter);
-        if (!diff.identical()) {
-            anyOutputError = true;
-            result.erredSignals.push_back(name);
-            if (result.firstOutputError < 0 || diff.firstMismatch < result.firstOutputError) {
-                result.firstOutputError = diff.firstMismatch;
-            }
-            if (diff.lastMismatchEnd > result.lastOutputErrorEnd) {
-                result.lastOutputErrorEnd = diff.lastMismatchEnd;
-            }
-            result.totalOutputErrorTime += diff.totalMismatch;
-            recoveredEverywhere = recoveredEverywhere && diff.matchesAt(tEnd);
-        }
+        verdict.digital(name, diff.firstMismatch, diff.lastMismatchEnd, diff.totalMismatch);
     }
 
     // Analog outputs: tolerance-based comparison.
     for (const std::string& name : tb.observedAnalog()) {
-        const auto diff =
-            trace::compareAnalog(golden_->recorder().analogTrace(name),
-                                 tb.recorder().analogTrace(name), tolerance_.analogAbs,
-                                 tolerance_.analogRel);
-        result.maxAnalogDeviation = std::max(result.maxAnalogDeviation, diff.maxDeviation);
-        if (!diff.withinTolerance()) {
-            anyOutputError = true;
-            result.erredSignals.push_back(name);
-            result.analogTimeOutsideTol += diff.timeOutsideTol;
-            recoveredEverywhere = recoveredEverywhere && diff.withinTolAtEnd;
-            const SimTime first = fromSeconds(diff.firstExceed);
-            if (result.firstOutputError < 0 || first < result.firstOutputError) {
-                result.firstOutputError = first;
-            }
-        }
+        verdict.analog(name, trace::compareAnalog(golden_->recorder().analogTrace(name),
+                                                  tb.recorder().analogTrace(name),
+                                                  tolerance_.analogAbs, tolerance_.analogRel));
     }
 
     // Final-state comparison (latent faults).
     for (const std::string& name : tb.observedState()) {
         const std::uint64_t now = tb.sim().digital().instrumentation().hook(name).get();
         const auto it = goldenState_.find(name);
-        if (it != goldenState_.end() && it->second != now) {
-            result.corruptedState.push_back(name);
-        }
-    }
-
-    if (anyOutputError) {
-        result.outcome = recoveredEverywhere ? Outcome::TransientError : Outcome::Failure;
-    } else if (!result.corruptedState.empty()) {
-        result.outcome = Outcome::Latent;
-    } else {
-        result.outcome = Outcome::Silent;
+        verdict.state(name, it != goldenState_.end() && it->second != now);
     }
     return result;
 }
@@ -538,9 +552,7 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt,
     // it for every run of a campaign is fine.
     std::unique_ptr<obs::FlightRecorder> recorder;
     if (!plan.forensicsDir.empty()) {
-        recorder = std::make_unique<obs::FlightRecorder>(
-            forensicsCapacity_ > 0 ? forensicsCapacity_
-                                   : obs::FlightRecorder::kDefaultCapacity);
+        recorder = std::make_unique<obs::FlightRecorder>();
     }
     std::unique_ptr<fault::Testbench> tb;
     obs::ProbeSnapshot baseline;

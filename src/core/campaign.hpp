@@ -135,6 +135,39 @@ struct RunResult {
     RunDiagnostics diagnostics;
 };
 
+/// The verdict rule — the paper's "results analysis -> failure
+/// classification" step — written once. The event kernel's classify() feeds
+/// it compareDigital/compareAnalog/hook results, the batch backend each word
+/// lane's figures; both feed every observed signal, node and state hook in
+/// observation order. After each call the result's verdict fields (outcome,
+/// erredSignals, error windows, analog figures, corruptedState) describe
+/// everything fed so far.
+class VerdictFold {
+public:
+    /// Folds into @p result (fresh, fault already set) for an observation
+    /// that ends at @p tEnd.
+    VerdictFold(RunResult& result, SimTime tEnd) noexcept : r_(result), tEnd_(tEnd) {}
+
+    /// One digital output's mismatch windows: start of the first, end of the
+    /// last and their summed length. @p first < 0 means no window survived
+    /// the jitter filter — the output matched golden.
+    void digital(const std::string& name, SimTime first, SimTime lastEnd, SimTime total);
+
+    /// One analog node's tolerance comparison.
+    void analog(const std::string& name, const trace::AnalogDiff& diff);
+
+    /// One state hook; @p differs when its end-of-run value is not golden's.
+    void state(const std::string& name, bool differs);
+
+private:
+    void noteFirstError(SimTime t) noexcept;
+    void decide() noexcept;
+
+    RunResult& r_;
+    SimTime tEnd_;
+    bool recovered_ = true; ///< every erred output is back to golden at tEnd
+};
+
 /// Retry policy for abnormal runs (transient solver failures mostly).
 struct RetryPolicy {
     int maxAttempts = 1;        ///< total attempts per fault (1 = no retry)
@@ -381,13 +414,6 @@ public:
         forensicsSet_ = true;
     }
 
-    /// Ring capacity of the per-run flight recorder (the "last N" window).
-    void setForensicsCapacity(std::size_t events) noexcept
-    {
-        forensicsCapacity_ = events > 0 ? events : 1;
-    }
-    [[nodiscard]] std::size_t forensicsCapacity() const noexcept { return forensicsCapacity_; }
-
     /// Attaches a live progress sink: run() then emits one NDJSON line per
     /// event — a "start" line before the worker phase, "heartbeat" lines from
     /// the ordered-commit path at most every @p cadenceSeconds (<= 0 = every
@@ -406,7 +432,8 @@ public:
     }
 
     /// Re-classifies a finished faulty testbench against the golden traces
-    /// (used by tolerance-sweep ablations without re-simulating).
+    /// through VerdictFold (used by tolerance-sweep ablations without
+    /// re-simulating).
     [[nodiscard]] RunResult classify(fault::Testbench& tb, const fault::FaultSpec& fault) const;
 
 private:
@@ -450,7 +477,6 @@ private:
     snapshot::CheckpointStore::Stats statsApplied_; ///< store stats already billed
     std::string forensicsDir_;        ///< flight-recorder dump directory
     bool forensicsSet_ = false;       ///< explicit setting beats GFI_FORENSICS
-    std::size_t forensicsCapacity_ = 0; ///< 0 = FlightRecorder default
     std::function<void(const std::string&)> progressSink_; ///< NDJSON consumer
     double progressCadence_ = 1.0;    ///< min seconds between heartbeats
 

@@ -256,11 +256,6 @@ CampaignJournal::LoadResult CampaignJournal::loadWithStats(const std::string& pa
     return result;
 }
 
-std::vector<JournalEntry> CampaignJournal::load(const std::string& path)
-{
-    return loadWithStats(path).entries;
-}
-
 CampaignReport reportFromEntries(const std::vector<fault::FaultSpec>& faults,
                                  const std::vector<JournalEntry>& entries)
 {

@@ -76,9 +76,6 @@ public:
     /// clean journal from a lossy one.
     [[nodiscard]] static LoadResult loadWithStats(const std::string& path);
 
-    /// loadWithStats() without the skip count (compatibility shorthand).
-    [[nodiscard]] static std::vector<JournalEntry> load(const std::string& path);
-
 private:
     std::mutex mutex_;
     std::string path_;

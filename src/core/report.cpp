@@ -1,10 +1,8 @@
 #include "core/report.hpp"
 
+#include "util/file.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
-
-#include <cstdio>
-#include <stdexcept>
 
 namespace gfi::campaign {
 
@@ -124,13 +122,7 @@ std::string reportToJson(const CampaignReport& report)
 
 void writeReportJson(const CampaignReport& report, const std::string& path)
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("writeReportJson: cannot open " + path);
-    }
-    const std::string json = reportToJson(report);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    util::writeFile(path, reportToJson(report), "writeReportJson");
 }
 
 } // namespace gfi::campaign

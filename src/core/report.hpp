@@ -22,7 +22,8 @@ void writeReportCsv(const CampaignReport& report, const std::string& path,
                     const CsvOptions& options = {});
 
 /// Writes the whole report as a JSON document:
-/// { "summary": {outcome counts}, "runs": [ {...}, ... ] }.
+/// { "summary": {outcome counts}, "runs": [ {...}, ... ] }. Throws
+/// std::runtime_error when the file cannot be opened or written.
 void writeReportJson(const CampaignReport& report, const std::string& path);
 
 /// Renders the report as a JSON string (used by writeReportJson; exposed for

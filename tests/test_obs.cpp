@@ -359,6 +359,31 @@ TEST(ObsTelemetry, FromEnvAndFlush)
     std::remove(metricsPath.c_str());
 }
 
+TEST(ObsTelemetry, FullDiskWritesThrow)
+{
+    // /dev/full accepts a short fwrite into the stdio buffer and fails the
+    // flush inside fclose, so a writer that ignores fclose misses the error.
+    const std::string full = "/dev/full";
+    if (!std::filesystem::exists(full)) {
+        GTEST_SKIP() << "no " << full << " on this system";
+    }
+    campaign::CampaignReport report;
+    report.runs.emplace_back();
+    EXPECT_THROW(campaign::writeReportJson(report, full), std::runtime_error);
+
+    obs::Telemetry trace;
+    trace.setTracePath(full);
+    {
+        obs::Span span(&trace, "work", "test");
+    }
+    EXPECT_THROW(trace.flush(), std::runtime_error);
+
+    obs::Telemetry metrics;
+    metrics.metrics().counter("gfi_full_total").inc();
+    metrics.setMetricsPath(full);
+    EXPECT_THROW(metrics.flush(), std::runtime_error);
+}
+
 TEST(ObsTrace, BatchedCampaignEmitsOneGroupSpanPerWordGroup)
 {
     clearTelemetryEnv();

@@ -446,7 +446,7 @@ TEST(ParallelCampaign, JournalAppendIsThreadSafeUnderHammering)
     }
     // Every line must be whole: a torn interleaving would fail to parse and
     // silently drop checkpoints on resume.
-    const auto entries = CampaignJournal::load(path);
+    const auto entries = CampaignJournal::loadWithStats(path).entries;
     EXPECT_EQ(entries.size(), static_cast<std::size_t>(kThreads * kPerThread));
     std::remove(path.c_str());
 }
