@@ -84,9 +84,7 @@ int main()
                   speedup, identical ? "true" : "false");
     const std::string doc = bench::benchJsonLine("perf_batch", jsonLine);
     std::fputs(doc.c_str(), stdout);
-    if (!writeTextFile("BENCH_perf_batch.json", doc)) {
-        std::fprintf(stderr, "warning: cannot write BENCH_perf_batch.json\n");
-    }
+    util::writeFile("BENCH_perf_batch.json", doc, "perf_batch");
 
     if (!identical) {
         std::fprintf(stderr,

@@ -89,9 +89,7 @@ int main()
                   collapsed.wallSeconds, speedup, identical ? "true" : "false");
     const std::string doc = bench::benchJsonLine("perf_collapse", jsonLine);
     std::fputs(doc.c_str(), stdout);
-    if (!writeTextFile("BENCH_perf_collapse.json", doc)) {
-        std::fprintf(stderr, "warning: cannot write BENCH_perf_collapse.json\n");
-    }
+    util::writeFile("BENCH_perf_collapse.json", doc, "perf_collapse");
 
     if (!identical) {
         std::fprintf(stderr,

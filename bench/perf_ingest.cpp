@@ -119,9 +119,7 @@ int main()
                   identical ? "true" : "false");
     const std::string doc = bench::benchJsonLine("perf_ingest", jsonLine);
     std::fputs(doc.c_str(), stdout);
-    if (!writeTextFile("BENCH_perf_ingest.json", doc)) {
-        std::fprintf(stderr, "warning: cannot write BENCH_perf_ingest.json\n");
-    }
+    util::writeFile("BENCH_perf_ingest.json", doc, "perf_ingest");
 
     if (!cold.hit && !warm.hit) {
         std::fprintf(stderr, "FAIL: second pass missed the store\n");

@@ -79,9 +79,7 @@ int main()
                   forked.wallSeconds, speedup, identical ? "true" : "false");
     const std::string doc = bench::benchJsonLine("perf_snapshot", jsonLine);
     std::fputs(doc.c_str(), stdout);
-    if (!writeTextFile("BENCH_perf_snapshot.json", doc)) {
-        std::fprintf(stderr, "warning: cannot write BENCH_perf_snapshot.json\n");
-    }
+    util::writeFile("BENCH_perf_snapshot.json", doc, "perf_snapshot");
 
     if (!identical) {
         std::fprintf(stderr, "FAIL: forked campaign output differs from scratch\n");

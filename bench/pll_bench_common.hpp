@@ -5,6 +5,7 @@
 #include "core/campaign.hpp"
 #include "pll/pll.hpp"
 #include "trace/metrics.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -83,17 +84,6 @@ inline std::string benchJsonLine(const std::string& tool, const std::string& pay
     return "{\"meta\": " + benchMetaJson(tool, workers) + ", " + payloadFields + "}\n";
 }
 
-/// Writes @p content to @p path, overwriting; false on I/O failure.
-inline bool writeTextFile(const std::string& path, const std::string& content)
-{
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        return false;
-    }
-    const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-    return std::fclose(f) == 0 && ok;
-}
-
 /// Console reporter that additionally accumulates every iteration run into a
 /// compact JSON summary — per-benchmark wall milliseconds plus all user
 /// counters (runs_per_s, items_per_second, speedups) — so CI can collect and
@@ -148,10 +138,7 @@ inline int runBenchmarksToJson(int argc, char** argv, const std::string& tool)
     }
     JsonTeeReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
-    const std::string path = "BENCH_" + tool + ".json";
-    if (!writeTextFile(path, reporter.json(tool))) {
-        std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    }
+    util::writeFile("BENCH_" + tool + ".json", reporter.json(tool), tool.c_str());
     benchmark::Shutdown();
     return 0;
 }

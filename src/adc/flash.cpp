@@ -69,8 +69,8 @@ FlashAdcTestbench::FlashAdcTestbench(FlashConfig config) : config_(config)
     auto& clk = dig.logicSignal("adc/clk", digital::Logic::Zero);
     dig.add<digital::ClockGen>(dig, "adc/clkgen", clk,
                                fromSeconds(1.0 / config_.clockHz));
-    code_ = dig.bus("adc/code", config_.bits, digital::Logic::Zero);
-    dig.add<digital::Register>(dig, "adc/code_reg", clk, rawCode, code_);
+    const digital::Bus code = dig.bus("adc/code", config_.bits, digital::Logic::Zero);
+    dig.add<digital::Register>(dig, "adc/code_reg", clk, rawCode, code);
 
     // --- instrumentation --------------------------------------------------------
     for (int k = 0; k < levels; ++k) {

@@ -35,9 +35,6 @@ public:
     /// Configuration used.
     [[nodiscard]] const FlashConfig& config() const noexcept { return config_; }
 
-    /// Output code bus (registered).
-    [[nodiscard]] const digital::Bus& codeBus() const noexcept { return code_; }
-
     /// Names of the ladder-tap saboteurs, LSB-side first.
     [[nodiscard]] const std::vector<std::string>& tapSaboteurs() const noexcept
     {
@@ -46,7 +43,6 @@ public:
 
 private:
     FlashConfig config_;
-    digital::Bus code_;
     std::vector<std::string> tapSaboteurs_;
 };
 

@@ -159,9 +159,9 @@ SarAdcTestbench::SarAdcTestbench(SarConfig config) : config_(config)
         strobes.at(t0 + 2 * clkPeriod, start, digital::Logic::Zero);
     }
 
-    result_ = dig.bus("adc/result", bits, digital::Logic::Zero);
+    const digital::Bus result = dig.bus("adc/result", bits, digital::Logic::Zero);
     auto& done = dig.logicSignal("adc/done", digital::Logic::Zero);
-    dig.add<SarLogic>(dig, "adc/sar", clk, start, cmp, dacCode, result_, done, bits);
+    dig.add<SarLogic>(dig, "adc/sar", clk, start, cmp, dacCode, result, done, bits);
 
     // --- instrumentation -------------------------------------------------------------
     auto& sabVin = ana.add<fault::CurrentSaboteur>(ana, "sab/vin", vin);

@@ -26,9 +26,6 @@ public:
              const digital::Bus& dacCode, const digital::Bus& result,
              digital::LogicSignal& done, int bits, SimTime clkToQ = 200 * kPicosecond);
 
-    /// The in-progress trial code.
-    [[nodiscard]] std::uint64_t trialCode() const noexcept { return code_; }
-
     /// True while converting.
     [[nodiscard]] bool busy() const noexcept { return busy_; }
 
@@ -85,15 +82,11 @@ public:
     /// Configuration used.
     [[nodiscard]] const SarConfig& config() const noexcept { return config_; }
 
-    /// Result bus.
-    [[nodiscard]] const digital::Bus& resultBus() const noexcept { return result_; }
-
     /// Expected ideal code for an input voltage.
     [[nodiscard]] int idealCode(double vin) const;
 
 private:
     SarConfig config_;
-    digital::Bus result_;
 };
 
 } // namespace gfi::adc

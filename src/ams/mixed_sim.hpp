@@ -129,7 +129,6 @@ public:
     /// policy uses this to re-run a diverged fault with a tightened step.
     /// Must be set before elaborate(); 1.0 = nominal.
     void setSolverStepScale(double scale) noexcept { stepScale_ = scale; }
-    [[nodiscard]] double solverStepScale() const noexcept { return stepScale_; }
 
 private:
     digital::Circuit digital_;

@@ -82,9 +82,8 @@ class Inductor : public AnalogComponent {
 public:
     Inductor(AnalogSystem& sys, std::string name, NodeId a, NodeId b, double henries);
 
-    /// Inductance accessor/mutator (mutation models a parametric fault).
+    /// Inductance (H).
     [[nodiscard]] double inductance() const noexcept { return henries_; }
-    void setInductance(double henries) { henries_ = henries; }
 
     /// Drops companion history (backward Euler restart after discontinuity).
     void resetHistory() { hasHistory_ = false; }

@@ -59,9 +59,6 @@ public:
     [[nodiscard]] double threshold() const noexcept { return threshold_; }
     [[nodiscard]] Edge edge() const noexcept { return edge_; }
 
-    /// Adjusts the threshold (campaign sweeps use this).
-    void setThreshold(double v) { threshold_ = v; }
-
 private:
     friend class TransientSolver;
 

@@ -240,9 +240,6 @@ public:
     /// in branch form). Returns the branch index.
     int allocateBranch() { return branchCount_++; }
 
-    /// Number of allocated branch variables.
-    [[nodiscard]] int branchCount() const noexcept { return branchCount_; }
-
     /// Total unknown count: (nodes - ground) + branches.
     [[nodiscard]] int unknownCount() const noexcept { return nodeCount() - 1 + branchCount_; }
 

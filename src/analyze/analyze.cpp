@@ -1,6 +1,7 @@
 #include "analyze/analyze.hpp"
 
 #include "analyze/graph.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace gfi::analyze {
@@ -49,17 +50,18 @@ std::string AnalysisReport::table(std::size_t topN) const
 
 std::string AnalysisReport::json() const
 {
-    std::string out = "{\n  \"graph\": {";
-    out += "\"signals\": " + std::to_string(signals);
-    out += ", \"processes\": " + std::to_string(processes);
-    out += ", \"combinational\": " + std::to_string(combProcesses);
-    out += ", \"sequential\": " + std::to_string(seqProcesses);
-    out += ", \"max_level\": " + std::to_string(maxLevel);
-    out += ", \"cyclic_signals\": " + std::to_string(cyclicSignals);
-    out += ", \"observable_signals\": " + std::to_string(observableSignals);
-    out += ", \"unobservable_signals\": " + std::to_string(unobservableSignals);
-    out += "},\n  \"testability\": " + testability.json();
-    out += "}\n";
+    std::string scoap = testability.json();
+    scoap.pop_back(); // embedded, so without its own trailing newline
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(util::JsonWriter::Layout::Block).key("graph").beginObject();
+    w.member("signals", signals).member("processes", processes);
+    w.member("combinational", combProcesses).member("sequential", seqProcesses);
+    w.member("max_level", maxLevel).member("cyclic_signals", cyclicSignals);
+    w.member("observable_signals", observableSignals);
+    w.member("unobservable_signals", unobservableSignals).end();
+    w.key("testability").raw(scoap).end();
+    out += '\n';
     return out;
 }
 

@@ -185,22 +185,19 @@ std::string TestabilityReport::table(std::size_t topN) const
 
 std::string TestabilityReport::json() const
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < ranked.size(); ++i) {
-        const NodeScore& s = ranked[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "  {\"signal\": \"" + util::jsonEscape(s.signal) + "\"";
-        out += ", \"level\": " + std::to_string(s.level);
-        out += ", \"fanout\": " + std::to_string(s.fanout);
-        out += ", \"cc\": ";
-        out += s.cc >= kInfCost ? "null" : std::to_string(s.cc);
-        out += ", \"co\": ";
-        out += s.co < 0 ? "null" : std::to_string(s.co);
-        out += ", \"observable\": ";
-        out += s.observable ? "true" : "false";
-        out += "}";
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginArray(util::JsonWriter::Layout::Block);
+    for (const NodeScore& s : ranked) {
+        w.beginObject().member("signal", s.signal).member("level", s.level);
+        w.member("fanout", s.fanout).key("cc");
+        s.cc >= kInfCost ? w.null() : w.value(s.cc);
+        w.key("co");
+        s.co < 0 ? w.null() : w.value(s.co);
+        w.member("observable", s.observable).end();
     }
-    out += "\n]\n";
+    w.end();
+    out += '\n';
     return out;
 }
 

@@ -8,6 +8,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/errors.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -461,9 +462,9 @@ void CampaignRunner::runGolden(const CampaignPlan& plan)
                                                          sim.captureSnapshot()));
                 nextMark = ev + cadence;
                 if (plan.tel != nullptr && plan.tel->trace() != nullptr) {
-                    plan.tel->trace()->instantEvent("checkpoint", "golden",
-                                                    "{\"sim_time\": \"" + formatTime(ev) +
-                                                        "\"}");
+                    std::string args;
+                    util::JsonWriter(args).beginObject().member("sim_time", formatTime(ev)).end();
+                    plan.tel->trace()->instantEvent("checkpoint", "golden", args);
                 }
             }
         }
@@ -639,8 +640,9 @@ RunResult CampaignRunner::attemptOne(const fault::FaultSpec& fault, int attempt,
             recorder->writeArtifacts(stem);
             result.diagnostics.forensic = stem;
             if (tel != nullptr && tel->trace() != nullptr) {
-                tel->trace()->instantEvent("forensic dump", "run",
-                                           "{\"stem\": \"" + jsonEscape(stem) + "\"}");
+                std::string args;
+                util::JsonWriter(args).beginObject().member("stem", stem).end();
+                tel->trace()->instantEvent("forensic dump", "run", args);
             }
         } catch (const std::exception& e) {
             std::fprintf(stderr, "gfi: forensics: dump failed for %s: %s\n", stem.c_str(),
@@ -974,7 +976,7 @@ CampaignReport CampaignRunner::run(
     ProgressCounters prog;
     const auto progressStart = std::chrono::steady_clock::now();
     auto lastBeat = progressStart;
-    const auto emitProgress = [&](const char* event, const std::string& extra = "") {
+    const auto emitProgress = [&](const char* event) {
         if (!progressSink_) {
             return;
         }
@@ -985,22 +987,16 @@ CampaignReport CampaignRunner::run(
             hist = liveHistogram_;
             completed = liveCompleted_;
         }
-        std::string line = "{\"event\": \"" + std::string(event) + "\"";
-        line += ", \"completed\": " + std::to_string(completed);
-        line += ", \"total\": " + std::to_string(faults.size());
-        line += ", \"outcomes\": {";
-        bool first = true;
+        std::string line;
+        util::JsonWriter w(line);
+        w.beginObject().member("event", event).member("completed", completed);
+        w.member("total", faults.size()).key("outcomes").beginObject();
         for (Outcome o : kAllOutcomes) {
             const auto it = hist.find(o);
-            line += std::string(first ? "" : ", ") + "\"" + toString(o) +
-                    "\": " + std::to_string(it != hist.end() ? it->second : 0);
-            first = false;
+            w.member(toString(o), it != hist.end() ? it->second : 0);
         }
-        line += "}";
-        line += ", \"restored\": " + std::to_string(prog.restored);
-        line += ", \"batched\": " + std::to_string(prog.batched);
-        line += ", \"collapsed\": " + std::to_string(prog.collapsed);
-        line += ", \"workers\": " + std::to_string(activeWorkers_);
+        w.end().member("restored", prog.restored).member("batched", prog.batched);
+        w.member("collapsed", prog.collapsed).member("workers", activeWorkers_);
         // With timing recording off, elapsed is pinned to 0 and the derived
         // rate/ETA fields are omitted, so the stream is byte-deterministic.
         const double elapsed =
@@ -1008,23 +1004,25 @@ CampaignReport CampaignRunner::run(
                                                           progressStart)
                                 .count()
                           : 0.0;
-        line += ", \"elapsed_s\": " + formatDouble(elapsed, 3);
+        w.member("elapsed_s", elapsed, 3);
         if (elapsed > 0.0 && prog.executed > 0) {
             const double rate = static_cast<double>(prog.executed) / elapsed;
-            line += ", \"runs_per_s\": " + formatDouble(rate, 3);
+            w.member("runs_per_s", rate, 3);
             if (completed < faults.size()) {
-                line += ", \"eta_s\": " +
-                        formatDouble(static_cast<double>(faults.size() - completed) / rate, 3);
+                w.member("eta_s", static_cast<double>(faults.size() - completed) / rate, 3);
             }
         }
-        line += extra;
-        line += "}\n";
+        // The start line also carries the campaign plan.
+        if (std::string_view(event) == "start") {
+            w.member("restorable", restored)
+                .member("collapsed_planned", collapse ? collapse->collapsedRuns() : 0)
+                .member("batched_planned", batchedCount);
+        }
+        w.end();
+        line += '\n';
         progressSink_(line);
     };
-    emitProgress("start", ", \"restorable\": " + std::to_string(restored) +
-                              ", \"collapsed_planned\": " +
-                              std::to_string(collapse ? collapse->collapsedRuns() : 0) +
-                              ", \"batched_planned\": " + std::to_string(batchedCount));
+    emitProgress("start");
 
     try {
         exec.forEachOrdered(faults.size(), [&](std::size_t i) -> core::CommitFn {
@@ -1036,8 +1034,13 @@ CampaignReport CampaignRunner::run(
                 }
                 obs::Span span(tel, "run #" + std::to_string(i), "campaign");
                 r = runContained(faults[i], plan);
-                span.setArgs("{\"fault\": \"" + jsonEscape(fault::describe(faults[i])) +
-                             "\", \"outcome\": \"" + toString(r.outcome) + "\"}");
+                std::string args;
+                util::JsonWriter(args)
+                    .beginObject()
+                    .member("fault", fault::describe(faults[i]))
+                    .member("outcome", toString(r.outcome))
+                    .end();
+                span.setArgs(std::move(args));
             }
             return [this, &report, &journal, &progress, &faults, &sources, &prog, &lastBeat,
                     &emitProgress, collapse = collapse.get(), tel, i,

@@ -296,7 +296,6 @@ public:
     /// the variable is set. Requires testbenches that use the default
     /// Testbench::run() (plain sim().run(duration())).
     void setCheckpointCadence(SimTime cadence) noexcept { checkpointCadence_ = cadence; }
-    [[nodiscard]] SimTime checkpointCadence() const noexcept { return checkpointCadence_; }
 
     /// Golden checkpoints captured so far (0 until runGolden() in fork mode).
     [[nodiscard]] std::size_t checkpointCount() const;
@@ -370,14 +369,9 @@ public:
 
     /// Per-run watchdog budgets (default: unlimited).
     void setWatchdogConfig(WatchdogConfig c) noexcept { watchdogConfig_ = c; }
-    [[nodiscard]] const WatchdogConfig& watchdogConfig() const noexcept
-    {
-        return watchdogConfig_;
-    }
 
     /// Retry policy for abnormal runs (default: single attempt).
     void setRetryPolicy(RetryPolicy p) noexcept { retryPolicy_ = p; }
-    [[nodiscard]] const RetryPolicy& retryPolicy() const noexcept { return retryPolicy_; }
 
     /// Enables the JSONL campaign journal (empty path disables). run() then
     /// checkpoints each result as it completes and resumes from an existing

@@ -1,6 +1,8 @@
 #include "core/cost.hpp"
 
 #include "core/report.hpp"
+#include "util/file.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -59,33 +61,23 @@ std::vector<std::string> bucketCells(const CostBucket& b)
             std::to_string(b.forked)};
 }
 
-std::string bucketJson(const CostBucket& b)
+void writeBucket(util::JsonWriter& w, const CostBucket& b)
 {
-    std::string json = "{";
-    json += "\"runs\": " + std::to_string(b.runs) + ", ";
-    json += "\"attempts\": " + std::to_string(b.attempts) + ", ";
-    json += "\"retries\": " + std::to_string(b.retries) + ", ";
-    json += "\"digital_waves\": " + std::to_string(b.digitalWaves) + ", ";
-    json += "\"analog_steps\": " + std::to_string(b.analogSteps) + ", ";
-    json += "\"wall_s\": " + formatDouble(b.wallSeconds, 6) + ", ";
-    json += "\"restored\": " + std::to_string(b.restored) + ", ";
-    json += "\"collapsed\": " + std::to_string(b.collapsed) + ", ";
-    json += "\"batched\": " + std::to_string(b.batched) + ", ";
-    json += "\"forked\": " + std::to_string(b.forked);
-    json += "}";
-    return json;
+    w.beginObject().member("runs", b.runs).member("attempts", b.attempts);
+    w.member("retries", b.retries).member("digital_waves", b.digitalWaves);
+    w.member("analog_steps", b.analogSteps).member("wall_s", b.wallSeconds, 6);
+    w.member("restored", b.restored).member("collapsed", b.collapsed);
+    w.member("batched", b.batched).member("forked", b.forked).end();
 }
 
-std::string groupJson(const std::map<std::string, CostBucket>& group)
+void writeGroup(util::JsonWriter& w, const char* name,
+                const std::map<std::string, CostBucket>& group)
 {
-    std::string json = "{";
-    bool first = true;
+    w.key(name).beginObject();
     for (const auto& [key, bucket] : group) {
-        json += std::string(first ? "" : ", ") + "\"" + jsonEscape(key) +
-                "\": " + bucketJson(bucket);
-        first = false;
+        writeBucket(w.key(key), bucket);
     }
-    return json + "}";
+    w.end();
 }
 
 } // namespace
@@ -120,37 +112,39 @@ std::string CostReport::table() const
 
 std::string CostReport::toJson() const
 {
-    std::string json = "{\n";
-    json += "  \"total\": " + bucketJson(total) + ",\n";
-    json += "  \"by_class\": " + groupJson(byClass) + ",\n";
-    json += "  \"by_target\": " + groupJson(byTarget) + ",\n";
-    json += "  \"by_outcome\": " + groupJson(byOutcome) + "\n";
-    json += "}\n";
+    std::string json;
+    util::JsonWriter w(json);
+    writeBucket(w.beginObject(util::JsonWriter::Layout::Block).key("total"), total);
+    writeGroup(w, "by_class", byClass);
+    writeGroup(w, "by_target", byTarget);
+    writeGroup(w, "by_outcome", byOutcome);
+    w.end();
+    json += '\n';
     return json;
 }
 
 void CostReport::writeCsv(const std::string& path) const
 {
-    CsvWriter csv(path);
-    csv.writeRow({"dimension", "key", "runs", "attempts", "retries", "digital_waves",
-                  "analog_steps", "wall_s", "restored", "collapsed", "batched", "forked"});
-    auto writeRow = [&csv](const std::string& dim, const std::string& key,
-                           const CostBucket& b) {
+    std::string csv = csvRow({"dimension", "key", "runs", "attempts", "retries",
+                              "digital_waves", "analog_steps", "wall_s", "restored",
+                              "collapsed", "batched", "forked"});
+    auto addRow = [&csv](const std::string& dim, const std::string& key, const CostBucket& b) {
         std::vector<std::string> row{dim, key};
         const auto cells = bucketCells(b);
         row.insert(row.end(), cells.begin(), cells.end());
-        csv.writeRow(row);
+        csv += csvRow(row);
     };
-    writeRow("total", "", total);
+    addRow("total", "", total);
     for (const auto& [key, bucket] : byClass) {
-        writeRow("class", key, bucket);
+        addRow("class", key, bucket);
     }
     for (const auto& [key, bucket] : byTarget) {
-        writeRow("target", key, bucket);
+        addRow("target", key, bucket);
     }
     for (const auto& [key, bucket] : byOutcome) {
-        writeRow("outcome", key, bucket);
+        addRow("outcome", key, bucket);
     }
+    util::writeFile(path, csv, "CostReport::writeCsv");
 }
 
 } // namespace gfi::campaign

@@ -54,6 +54,7 @@ struct CostReport {
     [[nodiscard]] std::string toJson() const;
 
     /// One CSV row per bucket: dimension, key, then the CostBucket fields.
+    /// Throws std::runtime_error when the file cannot be opened or written.
     void writeCsv(const std::string& path) const;
 };
 

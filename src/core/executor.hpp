@@ -60,7 +60,6 @@ public:
     /// Maximum indices in flight past the next-to-commit one (the reorder
     /// buffer bound). 0 = automatic (4x the worker count).
     void setCommitWindow(std::size_t w) noexcept { window_ = w; }
-    [[nodiscard]] std::size_t commitWindow() const noexcept { return window_; }
 
     /// Requests a clean stop: no new indices are handed out, in-flight jobs
     /// finish and their in-order commits drain. Safe from any thread and

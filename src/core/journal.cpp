@@ -2,7 +2,6 @@
 
 #include "core/report.hpp"
 #include "util/json.hpp"
-#include "util/units.hpp"
 
 #include <stdexcept>
 
@@ -46,20 +45,6 @@ void read(const util::JsonValue& obj, const char* key, std::vector<std::string>&
     }
 }
 
-std::string quoted(const std::string& s)
-{
-    return "\"" + jsonEscape(s) + "\"";
-}
-
-std::string stringArray(const std::vector<std::string>& items)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        out += (i > 0 ? ", " : "") + quoted(items[i]);
-    }
-    return out + "]";
-}
-
 } // namespace
 
 CampaignJournal::CampaignJournal(std::string path) : path_(std::move(path))
@@ -92,59 +77,50 @@ CampaignJournal::~CampaignJournal()
 std::string CampaignJournal::entryToJson(std::size_t index, const RunResult& r,
                                          bool embedProbes)
 {
-    std::string json = "{";
-    json += "\"index\": " + std::to_string(index) + ", ";
-    json += "\"fault\": " + quoted(fault::describe(r.fault)) + ", ";
-    json += "\"outcome\": " + quoted(toString(r.outcome)) + ", ";
-    json += "\"attempts\": " + std::to_string(r.diagnostics.attempts) + ", ";
-    json += "\"error\": " + quoted(r.diagnostics.error) + ", ";
-    json += "\"wall_s\": " + formatDouble(r.diagnostics.wallSeconds, 6) + ", ";
-    json += "\"digital_waves\": " + std::to_string(r.diagnostics.digitalWaves) + ", ";
-    json += "\"analog_steps\": " + std::to_string(r.diagnostics.analogSteps) + ", ";
-    json += "\"checkpoint_fs\": " + std::to_string(r.diagnostics.checkpointTime) + ", ";
-    json += "\"resim_fs\": " + std::to_string(r.diagnostics.resimulatedTime) + ", ";
-    json += "\"first_output_error_fs\": " + std::to_string(r.firstOutputError) + ", ";
-    json += "\"last_output_error_end_fs\": " + std::to_string(r.lastOutputErrorEnd) + ", ";
-    json += "\"total_output_error_fs\": " + std::to_string(r.totalOutputErrorTime) + ", ";
-    json += "\"max_analog_deviation_v\": " + formatDouble(r.maxAnalogDeviation, 9) + ", ";
-    json += "\"analog_time_outside_tol_s\": " + formatDouble(r.analogTimeOutsideTol, 9) + ", ";
-    json += "\"erred_signals\": " + stringArray(r.erredSignals) + ", ";
-    json += "\"corrupted_state\": " + stringArray(r.corruptedState);
+    const RunDiagnostics& d = r.diagnostics;
+    std::string json;
+    util::JsonWriter w(json);
+    w.beginObject().member("index", index).member("fault", fault::describe(r.fault));
+    w.member("outcome", toString(r.outcome)).member("attempts", d.attempts);
+    w.member("error", d.error).member("wall_s", d.wallSeconds, 6);
+    w.member("digital_waves", d.digitalWaves).member("analog_steps", d.analogSteps);
+    w.member("checkpoint_fs", d.checkpointTime).member("resim_fs", d.resimulatedTime);
+    w.member("first_output_error_fs", r.firstOutputError);
+    w.member("last_output_error_end_fs", r.lastOutputErrorEnd);
+    w.member("total_output_error_fs", r.totalOutputErrorTime);
+    w.member("max_analog_deviation_v", r.maxAnalogDeviation, 9);
+    w.member("analog_time_outside_tol_s", r.analogTimeOutsideTol, 9);
+    w.member("erred_signals", r.erredSignals).member("corrupted_state", r.corruptedState);
     // Collapse provenance — only when set, so lines of non-collapsed runs
     // remain byte-identical to pre-collapse journals.
-    if (!r.diagnostics.collapsedFrom.empty()) {
-        json += ", \"collapsed_from\": " + quoted(r.diagnostics.collapsedFrom);
+    if (!d.collapsedFrom.empty()) {
+        w.member("collapsed_from", d.collapsedFrom);
     }
     // Batch provenance — only on word-simulated runs, so event-driven lines
     // remain byte-identical to pre-batch journals.
-    if (r.diagnostics.batchLane > 0) {
-        json += ", \"batch_lane\": " + std::to_string(r.diagnostics.batchLane);
+    if (d.batchLane > 0) {
+        w.member("batch_lane", d.batchLane);
     }
     // Forensic provenance — only on abnormal runs that dumped a flight-
     // recorder window, so ordinary lines remain byte-identical.
-    if (!r.diagnostics.forensic.empty()) {
-        json += ", \"forensic\": " + quoted(r.diagnostics.forensic);
+    if (!d.forensic.empty()) {
+        w.member("forensic", d.forensic);
     }
     // Appended after every historical key so lines without probes remain
     // byte-identical to pre-observability journals.
-    if (embedProbes && r.diagnostics.probes.valid) {
-        const obs::ProbeSnapshot& p = r.diagnostics.probes;
-        json += ", \"probes\": {";
-        json += "\"digital_events\": " + std::to_string(p.digitalEvents) + ", ";
-        json += "\"delta_cycles\": " + std::to_string(p.deltaCycles) + ", ";
-        json += "\"queue_high_water\": " + std::to_string(p.queueHighWater) + ", ";
-        json += "\"pending_events\": " + std::to_string(p.pendingEvents) + ", ";
-        json += "\"analog_accepted\": " + std::to_string(p.analogAcceptedSteps) + ", ";
-        json += "\"analog_rejected\": " + std::to_string(p.analogRejectedSteps) + ", ";
-        json += "\"newton_iterations\": " + std::to_string(p.newtonIterations) + ", ";
-        json += "\"companion_rebuilds\": " + std::to_string(p.companionRebuilds) + ", ";
-        json += "\"min_dt_s\": " + formatDouble(p.minAcceptedDt, 12) + ", ";
-        json += "\"last_dt_s\": " + formatDouble(p.lastAcceptedDt, 12) + ", ";
-        json += "\"atod_crossings\": " + std::to_string(p.atodCrossings) + ", ";
-        json += "\"dtoa_events\": " + std::to_string(p.dtoaEvents);
-        json += "}";
+    if (embedProbes && d.probes.valid) {
+        const obs::ProbeSnapshot& p = d.probes;
+        w.key("probes").beginObject().member("digital_events", p.digitalEvents);
+        w.member("delta_cycles", p.deltaCycles).member("queue_high_water", p.queueHighWater);
+        w.member("pending_events", p.pendingEvents);
+        w.member("analog_accepted", p.analogAcceptedSteps);
+        w.member("analog_rejected", p.analogRejectedSteps);
+        w.member("newton_iterations", p.newtonIterations);
+        w.member("companion_rebuilds", p.companionRebuilds);
+        w.member("min_dt_s", p.minAcceptedDt, 12).member("last_dt_s", p.lastAcceptedDt, 12);
+        w.member("atod_crossings", p.atodCrossings).member("dtoa_events", p.dtoaEvents).end();
     }
-    json += "}";
+    w.end();
     return json;
 }
 

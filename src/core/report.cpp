@@ -9,7 +9,6 @@ namespace gfi::campaign {
 void writeReportCsv(const CampaignReport& report, const std::string& path,
                     const CsvOptions& options)
 {
-    CsvWriter csv(path);
     std::vector<std::string> header{
         "fault", "target", "outcome", "first_output_error_fs", "total_output_error_fs",
         "max_analog_deviation_v", "analog_time_outside_tol_s", "erred_signals",
@@ -20,7 +19,7 @@ void writeReportCsv(const CampaignReport& report, const std::string& path,
         // byte-identical and trailing-column consumers keep working.
         header.insert(header.end(), {"digital_waves", "analog_steps", "forensic"});
     }
-    csv.writeRow(header);
+    std::string csv = csvRow(header);
     for (const RunResult& r : report.runs) {
         std::string erred;
         for (const std::string& s : r.erredSignals) {
@@ -50,73 +49,67 @@ void writeReportCsv(const CampaignReport& report, const std::string& path,
             row.push_back(std::to_string(r.diagnostics.analogSteps));
             row.push_back(r.diagnostics.forensic);
         }
-        csv.writeRow(row);
+        csv += csvRow(row);
     }
+    util::writeFile(path, csv, "writeReportCsv");
 }
 
 std::string reportToJson(const CampaignReport& report)
 {
     const auto hist = report.histogram();
-    auto count = [&](Outcome o) {
-        const auto it = hist.find(o);
-        return it == hist.end() ? 0 : it->second;
-    };
-
-    std::string json = "{\n  \"summary\": {\n";
-    json += "    \"total\": " + std::to_string(report.runs.size());
+    using Layout = util::JsonWriter::Layout;
+    std::string json;
+    util::JsonWriter w(json);
+    w.beginObject(Layout::Block).key("summary").beginObject(Layout::Block);
+    w.member("total", report.runs.size());
     // One counter per Outcome category — iterate the full enum so new
     // categories can never be silently dropped from the summary.
     for (Outcome o : kAllOutcomes) {
-        json += ",\n    \"" + std::string(toString(o)) + "\": " + std::to_string(count(o));
+        const auto it = hist.find(o);
+        w.member(toString(o), it == hist.end() ? 0 : it->second);
     }
-    json += "\n  },\n";
-    json += "  \"runs\": [\n";
-    for (std::size_t i = 0; i < report.runs.size(); ++i) {
-        const RunResult& r = report.runs[i];
-        json += "    {";
-        json += "\"fault\": \"" + jsonEscape(fault::describe(r.fault)) + "\", ";
-        json += "\"target\": \"" + jsonEscape(targetOf(r.fault)) + "\", ";
-        json += "\"outcome\": \"" + std::string(toString(r.outcome)) + "\", ";
-        json += "\"first_output_error_fs\": " + std::to_string(r.firstOutputError) + ", ";
-        json += "\"total_output_error_fs\": " + std::to_string(r.totalOutputErrorTime) + ", ";
-        json += "\"max_analog_deviation_v\": " + formatDouble(r.maxAnalogDeviation, 9) + ", ";
-        json += "\"attempts\": " + std::to_string(r.diagnostics.attempts);
+    w.end().key("runs").beginArray(Layout::Block);
+    for (const RunResult& r : report.runs) {
+        const RunDiagnostics& d = r.diagnostics;
+        w.beginObject().member("fault", fault::describe(r.fault));
+        w.member("target", targetOf(r.fault)).member("outcome", toString(r.outcome));
+        w.member("first_output_error_fs", r.firstOutputError);
+        w.member("total_output_error_fs", r.totalOutputErrorTime);
+        w.member("max_analog_deviation_v", r.maxAnalogDeviation, 9).member("attempts", d.attempts);
         // Forked runs carry their checkpoint bookkeeping; from-scratch runs
         // omit the fields so pre-fork reports keep their exact shape.
-        if (r.diagnostics.checkpointTime > 0) {
-            json += ", \"checkpoint_fs\": " + std::to_string(r.diagnostics.checkpointTime);
-            json += ", \"resim_fs\": " + std::to_string(r.diagnostics.resimulatedTime);
+        if (d.checkpointTime > 0) {
+            w.member("checkpoint_fs", d.checkpointTime).member("resim_fs", d.resimulatedTime);
         }
         // Resumed campaigns restore classified rows from the journal; flag
         // them so a report consumer can tell restored from fresh results.
-        if (r.diagnostics.fromJournal) {
-            json += ", \"from_journal\": true";
+        if (d.fromJournal) {
+            w.member("from_journal", true);
         }
-        if (!r.diagnostics.error.empty()) {
-            json += ", \"error\": \"" + jsonEscape(r.diagnostics.error) + "\"";
+        if (!d.error.empty()) {
+            w.member("error", d.error);
         }
         // Expanded collapse-class members name their simulated
         // representative; simulated runs omit the key so pre-collapse
         // reports keep their exact shape.
-        if (!r.diagnostics.collapsedFrom.empty()) {
-            json += ", \"collapsed_from\": \"" + jsonEscape(r.diagnostics.collapsedFrom) +
-                    "\"";
+        if (!d.collapsedFrom.empty()) {
+            w.member("collapsed_from", d.collapsedFrom);
         }
         // Word-simulated runs name their fault lane (>= 1); event-driven
         // runs omit the key so pre-batch reports keep their exact shape.
-        if (r.diagnostics.batchLane > 0) {
-            json += ", \"batch_lane\": " + std::to_string(r.diagnostics.batchLane);
+        if (d.batchLane > 0) {
+            w.member("batch_lane", d.batchLane);
         }
         // Abnormal runs that dumped a flight-recorder window name the
         // artifact stem; other runs omit the key, keeping the exact
         // pre-forensics shape.
-        if (!r.diagnostics.forensic.empty()) {
-            json += ", \"forensic\": \"" + jsonEscape(r.diagnostics.forensic) + "\"";
+        if (!d.forensic.empty()) {
+            w.member("forensic", d.forensic);
         }
-        json += "}";
-        json += i + 1 < report.runs.size() ? ",\n" : "\n";
+        w.end();
     }
-    json += "  ]\n}\n";
+    w.end().end();
+    json += '\n';
     return json;
 }
 

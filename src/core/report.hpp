@@ -17,7 +17,8 @@ struct CsvOptions {
 };
 
 /// Writes one row per run: fault description, target, outcome, timing and
-/// deviation metrics. Throws std::runtime_error when the file cannot open.
+/// deviation metrics. Throws std::runtime_error when the file cannot be
+/// opened or written.
 void writeReportCsv(const CampaignReport& report, const std::string& path,
                     const CsvOptions& options = {});
 

@@ -108,7 +108,6 @@ public:
     {
         deltaLimit_ = limit == 0 ? kDefaultDeltaLimit : limit;
     }
-    [[nodiscard]] std::uint64_t deltaLimit() const noexcept { return deltaLimit_; }
 
     /// Attaches a per-run watchdog (not owned; nullptr detaches). Every wave
     /// charges one digital-wave unit; budget exhaustion unwinds the kernel

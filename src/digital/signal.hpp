@@ -249,10 +249,4 @@ inline bool risingEdge(const LogicSignal& s) noexcept
     return s.event() && toX01(s.value()) == Logic::One && toX01(s.lastValue()) == Logic::Zero;
 }
 
-/// True when @p s had an event this delta and now carries a falling edge (1->0).
-inline bool fallingEdge(const LogicSignal& s) noexcept
-{
-    return s.event() && toX01(s.value()) == Logic::Zero && toX01(s.lastValue()) == Logic::One;
-}
-
 } // namespace gfi::digital

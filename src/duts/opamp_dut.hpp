@@ -30,9 +30,6 @@ public:
     /// Configuration used.
     [[nodiscard]] const OpAmpDutConfig& config() const noexcept { return config_; }
 
-    /// The op-amp macro (pole node etc.).
-    [[nodiscard]] analog::OpAmp& opAmp() noexcept { return *opamp_; }
-
 private:
     OpAmpDutConfig config_;
     std::unique_ptr<analog::OpAmp> opamp_;

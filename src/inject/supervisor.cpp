@@ -1,6 +1,7 @@
 #include "inject/supervisor.hpp"
 
 #include "obs/telemetry.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -184,53 +185,38 @@ std::string SupervisorReport::csv() const
 
 std::string SupervisorReport::json() const
 {
-    const auto prop = [](const campaign::Proportion& p) {
+    const auto prop = [](util::JsonWriter& w, const campaign::Proportion& p) {
+        w.beginObject().member("count", p.successes).member("runs", p.trials);
         if (p.trials == 0) {
             // No samples: the Wilson interval is undefined, so the estimate
             // fields are null rather than a misleading 0-width interval.
-            return std::string("{\"count\": ") + std::to_string(p.successes) +
-                   ", \"runs\": 0, \"rate\": null, \"low\": null, \"high\": null}";
+            w.key("rate").null().key("low").null().key("high").null();
+        } else {
+            w.member("rate", p.estimate, 6).member("low", p.low, 6).member("high", p.high, 6);
         }
-        return std::string("{\"count\": ") + std::to_string(p.successes) +
-               ", \"runs\": " + std::to_string(p.trials) +
-               ", \"rate\": " + formatDouble(p.estimate, 6) +
-               ", \"low\": " + formatDouble(p.low, 6) +
-               ", \"high\": " + formatDouble(p.high, 6) + "}";
+        w.end();
     };
-    std::string out = "{\"samples\": " + std::to_string(classes.size()) + ", \"classes\": {";
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject().member("samples", classes.size()).key("classes").beginObject();
     const int all = static_cast<int>(classes.size());
-    bool first = true;
     for (CpuClass c : kAllCpuClasses) {
         const auto it = totals.find(c);
-        if (!first) {
-            out += ", ";
-        }
-        first = false;
-        out += std::string("\"") + toString(c) + "\": " +
-               prop(campaign::wilsonInterval(it == totals.end() ? 0 : it->second, all));
+        prop(w.key(toString(c)),
+             campaign::wilsonInterval(it == totals.end() ? 0 : it->second, all));
     }
-    out += "}, \"targets\": {";
-    first = true;
+    w.end().key("targets").beginObject();
     for (TargetClass tc : kReportTargetClasses) {
         if (runsFor(tc) == 0) {
             continue;
         }
-        if (!first) {
-            out += ", ";
-        }
-        first = false;
-        out += std::string("\"") + toString(tc) + "\": {";
-        bool firstClass = true;
+        w.key(toString(tc)).beginObject();
         for (CpuClass c : kAllCpuClasses) {
-            if (!firstClass) {
-                out += ", ";
-            }
-            firstClass = false;
-            out += std::string("\"") + toString(c) + "\": " + prop(rate(tc, c));
+            prop(w.key(toString(c)), rate(tc, c));
         }
-        out += "}";
+        w.end();
     }
-    out += "}}";
+    w.end().end();
     return out;
 }
 

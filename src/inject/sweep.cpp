@@ -1,5 +1,6 @@
 #include "inject/sweep.hpp"
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -68,17 +69,14 @@ std::string SweepReport::csv() const
 
 std::string SweepReport::json() const
 {
-    std::string out = "{\"sweep\": [";
-    bool first = true;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject().key("sweep").beginArray();
     for (const SweepEntry& e : entries) {
-        if (!first) {
-            out += ", ";
-        }
-        first = false;
-        out += std::string("{\"mode\": \"") + duts::toString(e.mode) +
-               "\", \"report\": " + e.report.json() + "}";
+        w.beginObject().member("mode", duts::toString(e.mode));
+        w.key("report").raw(e.report.json()).end();
     }
-    out += "]}";
+    w.end().end();
     return out;
 }
 

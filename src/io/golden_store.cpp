@@ -15,11 +15,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string quoted(const std::string& s)
-{
-    return "\"" + util::jsonEscape(s) + "\"";
-}
-
 std::string readFileOrThrow(const fs::path& path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -202,16 +197,15 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
     }
     const std::string reportJson = campaign::reportToJson(report);
 
-    std::string meta = "{\n";
-    meta += "  \"version\": 1,\n";
-    meta += "  \"circuit\": " + quoted(circuitName) + ",\n";
-    meta += "  \"netlist\": " + quoted(key.netlistDigest) + ",\n";
-    meta += "  \"stimulus\": " + quoted(key.stimulusDigest) + ",\n";
-    meta += "  \"faults\": " + quoted(key.faultDigest) + ",\n";
-    meta += "  \"runs\": " + std::to_string(report.runs.size()) + ",\n";
-    meta += "  \"verdicts_sha256\": " + quoted(sha256Hex(verdictsText)) + ",\n";
-    meta += "  \"report_sha256\": " + quoted(sha256Hex(reportJson)) + "\n";
-    meta += "}\n";
+    using Layout = util::JsonWriter::Layout;
+    std::string meta;
+    util::JsonWriter w(meta);
+    w.beginObject(Layout::Block).member("version", 1).member("circuit", circuitName);
+    w.member("netlist", key.netlistDigest).member("stimulus", key.stimulusDigest);
+    w.member("faults", key.faultDigest).member("runs", report.runs.size());
+    w.member("verdicts_sha256", sha256Hex(verdictsText));
+    w.member("report_sha256", sha256Hex(reportJson)).end();
+    meta += '\n';
 
     // Stage the whole entry in tmp/, then swap it in with a rename — a killed
     // process never leaves a half-written entry addressable.
@@ -236,11 +230,14 @@ void GoldenStore::put(const CacheKey& key, const std::string& circuitName,
     }
 
     // Repoint the circuit's name at the new entry (atomic file swap).
-    std::string pointer = "{\n";
-    pointer += "  \"circuit\": " + quoted(circuitName) + ",\n";
-    pointer += "  \"netlist\": " + quoted(key.netlistDigest) + ",\n";
-    pointer += "  \"key\": " + quoted(combined) + "\n";
-    pointer += "}\n";
+    std::string pointer;
+    util::JsonWriter(pointer)
+        .beginObject(Layout::Block)
+        .member("circuit", circuitName)
+        .member("netlist", key.netlistDigest)
+        .member("key", combined)
+        .end();
+    pointer += '\n';
     const fs::path pointerPath = namePath(circuitName);
     const fs::path pointerStaged = fs::path(root_) / "tmp" / (sanitizeName(circuitName) +
                                                               ".name.json");

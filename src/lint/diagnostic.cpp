@@ -75,17 +75,14 @@ std::string Report::table() const
 
 std::string Report::json() const
 {
-    std::string out = "[";
-    for (std::size_t i = 0; i < diags_.size(); ++i) {
-        const Diagnostic& d = diags_[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "  {\"rule\": \"" + util::jsonEscape(d.rule) + "\", ";
-        out += "\"severity\": \"" + std::string(toString(d.severity)) + "\", ";
-        out += "\"path\": \"" + util::jsonEscape(d.path) + "\", ";
-        out += "\"message\": \"" + util::jsonEscape(d.message) + "\", ";
-        out += "\"hint\": \"" + util::jsonEscape(d.hint) + "\"}";
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginArray(util::JsonWriter::Layout::Block);
+    for (const Diagnostic& d : diags_) {
+        w.beginObject().member("rule", d.rule).member("severity", toString(d.severity));
+        w.member("path", d.path).member("message", d.message).member("hint", d.hint).end();
     }
-    out += diags_.empty() ? "]" : "\n]";
+    w.end();
     return out;
 }
 

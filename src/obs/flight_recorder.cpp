@@ -1,7 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include "util/file.hpp"
-#include "util/units.hpp"
+#include "util/json.hpp"
 
 #include <algorithm>
 #include <filesystem>
@@ -72,41 +72,39 @@ const char* FlightRecorder::kindName(Kind kind)
 
 namespace {
 
-/// Kind-specific payload keys, appended after the common prefix.
-std::string payloadJson(const FlightRecorder::Event& e)
+/// Kind-specific payload members, written after the common ones.
+void writePayload(util::JsonWriter& w, const FlightRecorder::Event& e)
 {
     using Kind = FlightRecorder::Kind;
     switch (e.kind) {
     case Kind::Wave:
-        return ", \"waves\": " + std::to_string(e.a) +
-               ", \"pending_events\": " + std::to_string(e.b);
+        w.member("waves", e.a).member("pending_events", e.b);
+        break;
     case Kind::SolverAccept:
-        return ", \"accepted_steps\": " + std::to_string(e.a) +
-               ", \"dt_s\": " + formatDouble(e.value, 12);
+        w.member("accepted_steps", e.a).member("dt_s", e.value, 12);
+        break;
     case Kind::SolverReject:
-        return ", \"rejected_steps\": " + std::to_string(e.a) +
-               ", \"dt_s\": " + formatDouble(e.value, 12);
+        w.member("rejected_steps", e.a).member("dt_s", e.value, 12);
+        break;
     case Kind::AtoD:
-        return ", \"crossings\": " + std::to_string(e.a) +
-               ", \"rising\": " + (e.value != 0.0 ? std::string("true") : std::string("false"));
+        w.member("crossings", e.a).member("rising", e.value != 0.0);
+        break;
     case Kind::DtoA:
-        return ", \"updates\": " + std::to_string(e.a) +
-               ", \"level_v\": " + formatDouble(e.value, 9);
+        w.member("updates", e.a).member("level_v", e.value, 9);
+        break;
     case Kind::Restore:
-        return "";
+        break;
     }
-    return "";
 }
 
 /// Simulated-time timestamp in microseconds for the Chrome trace: the analog
 /// clock when the event came from the analog domain, the digital clock
 /// otherwise.
-std::string simMicros(const FlightRecorder::Event& e)
+double simMicros(const FlightRecorder::Event& e)
 {
     using Kind = FlightRecorder::Kind;
     const bool analog = e.kind == Kind::SolverAccept || e.kind == Kind::SolverReject;
-    const double us = analog ? e.analogTime * 1e6 : toSeconds(e.timeFs) * 1e6;
-    return formatDouble(us, 9);
+    return analog ? e.analogTime * 1e6 : toSeconds(e.timeFs) * 1e6;
 }
 
 /// Chrome-trace track per kernel domain, so the forensic window renders as
@@ -136,37 +134,38 @@ std::string FlightRecorder::jsonl() const
     std::string out;
     std::size_t seq = 0;
     for (const Event& e : window()) {
-        out += "{\"seq\": " + std::to_string(seq++) + ", \"kind\": \"" + kindName(e.kind) +
-               "\", \"t_fs\": " + std::to_string(e.timeFs) +
-               ", \"t_analog_s\": " + formatDouble(e.analogTime, 12) + payloadJson(e) + "}\n";
+        util::JsonWriter w(out);
+        w.beginObject().member("seq", seq++).member("kind", kindName(e.kind));
+        w.member("t_fs", e.timeFs).member("t_analog_s", e.analogTime, 12);
+        writePayload(w, e);
+        w.end();
+        out += '\n';
     }
     return out;
 }
 
 std::string FlightRecorder::chromeTraceJson() const
 {
-    std::vector<std::string> entries;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject().key("traceEvents").beginArray(util::JsonWriter::Layout::Block);
     // Track-name metadata first, one lane per kernel domain.
     const std::pair<int, const char*> tracks[] = {
         {0, "simulator"}, {1, "digital scheduler"}, {2, "analog solver"}, {3, "ams bridges"}};
     for (const auto& [tid, name] : tracks) {
-        entries.push_back("{\"pid\": 1, \"tid\": " + std::to_string(tid) +
-                          ", \"ph\": \"M\", \"name\": \"thread_name\", \"args\": "
-                          "{\"name\": \"" +
-                          std::string(name) + "\"}}");
+        w.beginObject().member("pid", 1).member("tid", tid).member("ph", "M");
+        w.member("name", "thread_name").key("args").beginObject().member("name", name);
+        w.end().end();
     }
     for (const Event& e : window()) {
-        entries.push_back("{\"pid\": 1, \"tid\": " + std::to_string(trackOf(e.kind)) +
-                          ", \"ph\": \"i\", \"s\": \"t\", \"name\": \"" + kindName(e.kind) +
-                          "\", \"cat\": \"kernel\", \"ts\": " + simMicros(e) +
-                          ", \"args\": {\"t_fs\": " + std::to_string(e.timeFs) +
-                          payloadJson(e) + "}}");
+        w.beginObject().member("pid", 1).member("tid", trackOf(e.kind)).member("ph", "i");
+        w.member("s", "t").member("name", kindName(e.kind)).member("cat", "kernel");
+        w.member("ts", simMicros(e), 9).key("args").beginObject().member("t_fs", e.timeFs);
+        writePayload(w, e);
+        w.end().end();
     }
-    std::string out = "{\"traceEvents\": [\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        out += "  " + entries[i] + (i + 1 < entries.size() ? ",\n" : "\n");
-    }
-    out += "], \"displayTimeUnit\": \"ms\"}\n";
+    w.end().member("displayTimeUnit", "ms").end();
+    out += '\n';
     return out;
 }
 

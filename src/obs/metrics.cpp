@@ -193,36 +193,40 @@ std::string MetricsRegistry::prometheusText() const
 
 std::string MetricsRegistry::json() const
 {
+    using Layout = util::JsonWriter::Layout;
     const std::lock_guard<std::mutex> lock(mutex_);
-    std::string counters;
-    std::string gauges;
-    std::string histograms;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(Layout::Block).key("counters").beginObject(Layout::Block);
     for (const auto& [name, inst] : instruments_) {
         if (inst.counter) {
-            counters += (counters.empty() ? "" : ",\n") + std::string("    \"") +
-                        util::jsonEscape(name) + "\": " + std::to_string(inst.counter->value());
-        } else if (inst.gauge) {
-            gauges += (gauges.empty() ? "" : ",\n") + std::string("    \"") +
-                      util::jsonEscape(name) + "\": " + renderNumber(inst.gauge->value());
-        } else if (inst.histogram) {
-            const Histogram& h = *inst.histogram;
-            std::string buckets;
-            for (std::size_t i = 0; i < h.upperBounds().size(); ++i) {
-                buckets += (i > 0 ? ", " : "") + std::string("{\"le\": ") +
-                           renderNumber(h.upperBounds()[i]) + ", \"count\": " +
-                           std::to_string(h.bucketCount(i)) + "}";
-            }
-            buckets += (h.upperBounds().empty() ? "" : ", ") +
-                       std::string("{\"le\": \"+Inf\", \"count\": ") +
-                       std::to_string(h.bucketCount(h.upperBounds().size())) + "}";
-            histograms += (histograms.empty() ? "" : ",\n") + std::string("    \"") +
-                          util::jsonEscape(name) + "\": {\"count\": " + std::to_string(h.count()) +
-                          ", \"sum\": " + renderNumber(h.sum()) + ", \"buckets\": [" +
-                          buckets + "]}";
+            w.member(name, inst.counter->value());
         }
     }
-    return "{\n  \"counters\": {\n" + counters + "\n  },\n  \"gauges\": {\n" + gauges +
-           "\n  },\n  \"histograms\": {\n" + histograms + "\n  }\n}\n";
+    w.end().key("gauges").beginObject(Layout::Block);
+    for (const auto& [name, inst] : instruments_) {
+        if (inst.gauge) {
+            w.key(name).raw(renderNumber(inst.gauge->value()));
+        }
+    }
+    w.end().key("histograms").beginObject(Layout::Block);
+    for (const auto& [name, inst] : instruments_) {
+        if (!inst.histogram) {
+            continue;
+        }
+        const Histogram& h = *inst.histogram;
+        w.key(name).beginObject().member("count", h.count());
+        w.key("sum").raw(renderNumber(h.sum())).key("buckets").beginArray();
+        for (std::size_t i = 0; i < h.upperBounds().size(); ++i) {
+            w.beginObject().key("le").raw(renderNumber(h.upperBounds()[i]));
+            w.member("count", h.bucketCount(i)).end();
+        }
+        w.beginObject().member("le", "+Inf");
+        w.member("count", h.bucketCount(h.upperBounds().size())).end().end().end();
+    }
+    w.end().end();
+    out += '\n';
+    return out;
 }
 
 } // namespace gfi::obs

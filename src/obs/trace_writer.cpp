@@ -2,21 +2,10 @@
 
 #include "util/file.hpp"
 #include "util/json.hpp"
-#include "util/units.hpp"
 
 #include <atomic>
 
 namespace gfi::obs {
-
-namespace {
-
-std::string renderMicros(double us)
-{
-    // Trace timestamps want sub-microsecond precision but not 17 digits.
-    return formatDouble(us, 3);
-}
-
-} // namespace
 
 int TraceWriter::currentTrackId()
 {
@@ -65,31 +54,32 @@ std::size_t TraceWriter::eventCount() const
 std::string TraceWriter::json() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\"traceEvents\": [\n";
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const Event& e = events_[i];
-        out += "  {\"pid\": 1, \"tid\": " + std::to_string(e.tid) + ", ";
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject().key("traceEvents").beginArray(util::JsonWriter::Layout::Block);
+    for (const Event& e : events_) {
+        w.beginObject().member("pid", 1).member("tid", e.tid);
         if (e.phase == 'M') {
-            out += "\"ph\": \"M\", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
-                   util::jsonEscape(e.name) + "\"}";
+            w.member("ph", "M").member("name", "thread_name");
+            w.key("args").beginObject().member("name", e.name).end();
         } else {
-            out += "\"ph\": \"" + std::string(1, e.phase) + "\", \"name\": \"" +
-                   util::jsonEscape(e.name) + "\", \"cat\": \"" + util::jsonEscape(e.category) +
-                   "\", \"ts\": " + renderMicros(e.tsUs);
+            // Timestamps want sub-microsecond precision but not 17 digits.
+            w.member("ph", std::string_view(&e.phase, 1)).member("name", e.name);
+            w.member("cat", e.category).member("ts", e.tsUs, 3);
             if (e.phase == 'X') {
-                out += ", \"dur\": " + renderMicros(e.durUs);
+                w.member("dur", e.durUs, 3);
             }
             if (e.phase == 'i') {
-                out += ", \"s\": \"t\"";
+                w.member("s", "t");
             }
             if (!e.args.empty()) {
-                out += ", \"args\": " + e.args;
+                w.key("args").raw(e.args);
             }
         }
-        out += "}";
-        out += i + 1 < events_.size() ? ",\n" : "\n";
+        w.end();
     }
-    out += "], \"displayTimeUnit\": \"ms\"}\n";
+    w.end().member("displayTimeUnit", "ms").end();
+    out += '\n';
     return out;
 }
 

@@ -23,12 +23,6 @@ public:
                       digital::LogicSignal& down, SimTime resetDelay = 200 * kPicosecond,
                       SimTime delay = 100 * kPicosecond);
 
-    /// Stored UP flag.
-    [[nodiscard]] bool upState() const noexcept { return up_; }
-
-    /// Stored DOWN flag.
-    [[nodiscard]] bool downState() const noexcept { return down_; }
-
     /// Overwrites the stored flags and re-drives the outputs (SEU injection).
     void setState(bool up, bool down);
 

@@ -63,10 +63,8 @@ PllTestbench::PllTestbench(PllConfig config) : config_(config)
     dig.add<digital::ClockDivider>(dig, "pll/divider", fout, fb, config_.dividerN);
 
     // --- instrumentation: saboteurs on the analog structural nodes ----------------
-    sabFilter_ = &ana.add<fault::CurrentSaboteur>(ana, names::kSabFilter, vctrl);
-    sabVcoOut_ = &ana.add<fault::CurrentSaboteur>(ana, names::kSabVcoOut, vcoOut);
-    addCurrentSaboteur(*sabFilter_);
-    addCurrentSaboteur(*sabVcoOut_);
+    addCurrentSaboteur(ana.add<fault::CurrentSaboteur>(ana, names::kSabFilter, vctrl));
+    addCurrentSaboteur(ana.add<fault::CurrentSaboteur>(ana, names::kSabVcoOut, vcoOut));
 
     // --- parametric fault targets ----------------------------------------------------
     addParameter("pll/r1", [&r1, nominal = config_.r1](double factor) {

@@ -64,14 +64,6 @@ public:
     /// The configuration this instance was built with.
     [[nodiscard]] const PllConfig& config() const noexcept { return config_; }
 
-    /// The saboteur at the low-pass-filter input (the paper's injection
-    /// location: "the saboteur output at the input of the low-pass filter,
-    /// i.e. at the output of the charge pump").
-    [[nodiscard]] fault::CurrentSaboteur& filterSaboteur() noexcept { return *sabFilter_; }
-
-    /// The saboteur at the VCO output node.
-    [[nodiscard]] fault::CurrentSaboteur& vcoOutSaboteur() noexcept { return *sabVcoOut_; }
-
     /// Direct access to the behavioral VCO (parametric experiments).
     [[nodiscard]] BehavioralVco& vco() noexcept { return *vco_; }
 
@@ -80,8 +72,6 @@ public:
 
 private:
     PllConfig config_;
-    fault::CurrentSaboteur* sabFilter_ = nullptr;
-    fault::CurrentSaboteur* sabVcoOut_ = nullptr;
     BehavioralVco* vco_ = nullptr;
     PhaseFreqDetector* pfd_ = nullptr;
 };

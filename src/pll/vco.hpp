@@ -36,8 +36,6 @@ public:
     void setKvco(double kvco) { kvco_ = kvco; }
     [[nodiscard]] double kvco() const noexcept { return kvco_; }
 
-    /// Center-frequency mutator (parametric fault target).
-    void setF0(double f0) { f0_ = f0; }
     [[nodiscard]] double f0() const noexcept { return f0_; }
 
     void stamp(analog::Stamper& s, const analog::Solution& x, double t, double dt,

@@ -1,5 +1,8 @@
 #include "trace/trace.hpp"
 
+#include "util/file.hpp"
+#include "util/units.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -173,15 +176,11 @@ const AnalogTrace& Recorder::analogTrace(const std::string& name) const
 
 void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace*>& traces)
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("writeAnalogCsv: cannot open " + path);
-    }
-    std::fputs("time_s", f);
+    std::string csv = "time_s";
     for (const AnalogTrace* tr : traces) {
-        std::fprintf(f, ",%s", tr->name.c_str());
+        csv += "," + tr->name;
     }
-    std::fputc('\n', f);
+    csv += '\n';
 
     // Union of all sample times.
     std::vector<double> times;
@@ -194,36 +193,31 @@ void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace
     times.erase(std::unique(times.begin(), times.end()), times.end());
 
     for (double t : times) {
-        std::fprintf(f, "%.12g", t);
+        csv += formatDouble(t, 12);
         for (const AnalogTrace* tr : traces) {
-            std::fprintf(f, ",%.9g", tr->valueAt(t));
+            csv += "," + formatDouble(tr->valueAt(t), 9);
         }
-        std::fputc('\n', f);
+        csv += '\n';
     }
-    std::fclose(f);
+    util::writeFile(path, csv, "writeAnalogCsv");
 }
 
 void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& digitalTraces,
               const std::vector<const AnalogTrace*>& analogTraces)
 {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        throw std::runtime_error("writeVcd: cannot open " + path);
-    }
-    std::fputs("$timescale 1fs $end\n$scope module gfi $end\n", f);
+    std::string vcd = "$timescale 1fs $end\n$scope module gfi $end\n";
     char id = '!';
     std::vector<char> digIds;
     for (const DigitalTrace* tr : digitalTraces) {
-        std::fprintf(f, "$var wire 1 %c %s $end\n", id, tr->name.c_str());
+        vcd += std::string("$var wire 1 ") + id + " " + tr->name + " $end\n";
         digIds.push_back(id++);
     }
     std::vector<char> anaIds;
     for (const AnalogTrace* tr : analogTraces) {
-        std::fprintf(f, "$var real 64 %c %s $end\n", id, tr->name.c_str());
+        vcd += std::string("$var real 64 ") + id + " " + tr->name + " $end\n";
         anaIds.push_back(id++);
     }
-    std::fputs("$upscope $end\n$enddefinitions $end\n", f);
-
+    vcd += "$upscope $end\n$enddefinitions $end\n";
     // Merge all change times.
     struct Change {
         SimTime t;
@@ -268,12 +262,12 @@ void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& d
     SimTime last = -1;
     for (const Change& ch : changes) {
         if (ch.t != last) {
-            std::fprintf(f, "#%lld\n", static_cast<long long>(ch.t));
+            vcd += "#" + std::to_string(ch.t) + "\n";
             last = ch.t;
         }
-        std::fprintf(f, "%s\n", ch.text.c_str());
+        vcd += ch.text + "\n";
     }
-    std::fclose(f);
+    util::writeFile(path, vcd, "writeVcd");
 }
 
 } // namespace gfi::trace

@@ -88,10 +88,12 @@ private:
 };
 
 /// Writes traces as CSV: one time column per domain plus one column per trace.
+/// Throws std::runtime_error when the file cannot be opened or written.
 void writeAnalogCsv(const std::string& path, const std::vector<const AnalogTrace*>& traces);
 
 /// Writes a (simple, two-state + X/Z) VCD file from digital traces and analog
-/// traces (emitted as VCD real variables).
+/// traces (emitted as VCD real variables). Throws std::runtime_error when the
+/// file cannot be opened or written.
 void writeVcd(const std::string& path, const std::vector<const DigitalTrace*>& digitalTraces,
               const std::vector<const AnalogTrace*>& analogTraces);
 

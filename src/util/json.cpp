@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -292,39 +293,115 @@ JsonValue parseJson(const std::string& text)
     return Parser(text).parseDocument();
 }
 
+namespace {
+
+void appendEscaped(std::string& out, std::string_view s)
+{
+    for (const char c : s) {
+        const char* named = c == '"'    ? "\\\""
+                            : c == '\\' ? "\\\\"
+                            : c == '\n' ? "\\n"
+                            : c == '\t' ? "\\t"
+                            : c == '\r' ? "\\r"
+                                        : nullptr;
+        if (named != nullptr) {
+            out += named;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+}
+
+} // namespace
+
 std::string jsonEscape(const std::string& s)
 {
     std::string out;
-    out.reserve(s.size() + 8);
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    appendEscaped(out, s);
     return out;
+}
+
+JsonWriter& JsonWriter::begin(char open, char close, Layout layout)
+{
+    raw(std::string_view(&open, 1));
+    frames_.at(static_cast<std::size_t>(depth_++)) = Frame{close, layout == Layout::Block, true};
+    blockDepth_ += layout == Layout::Block ? 1 : 0;
+    return *this;
+}
+
+JsonWriter& JsonWriter::end()
+{
+    const Frame f = frames_.at(static_cast<std::size_t>(--depth_));
+    if (f.block) {
+        out_ += '\n';
+        out_.append(2 * static_cast<std::size_t>(--blockDepth_), ' ');
+    }
+    out_ += f.close;
+    return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name)
+{
+    value(name);
+    out_ += ": ";
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s)
+{
+    separate();
+    out_ += '"';
+    appendEscaped(out_, s);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter& JsonWriter::value(const std::vector<std::string>& items)
+{
+    beginArray();
+    for (const std::string& item : items) {
+        value(item);
+    }
+    return end();
+}
+
+JsonWriter& JsonWriter::value(double v, int significantDigits)
+{
+    // 17 significant digits round-trip any double; the cap keeps the longest
+    // rendering ("-1.2345678901234567e-308") inside buf.
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.*g", std::min(significantDigits, 17), v);
+    return raw(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json)
+{
+    separate();
+    out_ += json;
+    return *this;
+}
+
+void JsonWriter::separate()
+{
+    if (afterKey_ || depth_ == 0) {
+        afterKey_ = false;
+        return;
+    }
+    Frame& f = frames_[static_cast<std::size_t>(depth_ - 1)];
+    if (!f.empty) {
+        out_ += f.block ? "," : ", ";
+    }
+    if (f.block) {
+        out_ += '\n';
+        out_.append(2 * static_cast<std::size_t>(blockDepth_), ' ');
+    }
+    f.empty = false;
 }
 
 } // namespace gfi::util

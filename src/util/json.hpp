@@ -1,6 +1,6 @@
 #pragma once
-// Minimal JSON value model + recursive-descent parser, and the one string
-// escaper every JSON writer in the repo uses.
+// Minimal JSON value model + recursive-descent parser, and the one writer
+// every JSON document in the library is built with.
 //
 // This is the only JSON reader: benchdiff, the campaign journal and the
 // golden-store metadata all go through parseJson. It is the smallest
@@ -8,13 +8,21 @@
 // escapes including \uXXXX (encoded as UTF-8), nesting-depth bound,
 // order-preserving objects (so round-tripped key order is inspectable).
 // Throws std::runtime_error with a byte offset on malformed input.
+//
+// JsonWriter is the only place that knows JSON syntax on the way out:
+// escaping, separators and layout.
 
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -120,5 +128,67 @@ private:
 /// \n, \t and \r by name, every other byte below 0x20 as \u00XX, all other
 /// bytes verbatim — so parseJson reads back exactly @p s.
 [[nodiscard]] std::string jsonEscape(const std::string& s);
+
+/// Builds one JSON document in place, appending to a caller's string with no
+/// temporary per value. key() names the next object member; anything else
+/// written becomes the next array element (or the document itself). Doubles
+/// take explicit significant digits ("%.*g", at most 17).
+class JsonWriter {
+public:
+    /// Inline: {"a": 1, "b": 2}. Block: one member per line, indented two
+    /// spaces per enclosing Block container; the closing bracket, also of an
+    /// empty Block, goes on its own line at its parent's indent.
+    enum class Layout { Inline, Block };
+
+    explicit JsonWriter(std::string& out) noexcept : out_(out) {}
+
+    JsonWriter& beginObject(Layout layout = Layout::Inline) { return begin('{', '}', layout); }
+    JsonWriter& beginArray(Layout layout = Layout::Inline) { return begin('[', ']', layout); }
+    JsonWriter& end(); ///< closes the innermost open object or array
+    JsonWriter& key(std::string_view name);
+
+    JsonWriter& value(std::string_view s);
+    JsonWriter& value(const std::vector<std::string>& items);
+    JsonWriter& value(double v, int significantDigits);
+    template <std::integral T>
+    JsonWriter& value(T v)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            return raw(v ? "true" : "false");
+        } else {
+            char buf[24];
+            const char* last = std::to_chars(buf, buf + sizeof buf, v).ptr;
+            return raw(std::string_view(buf, static_cast<std::size_t>(last - buf)));
+        }
+    }
+    JsonWriter& null() { return raw("null"); }
+    /// Text that is already JSON: an embedded document, or a number rendered
+    /// by the caller's own rule.
+    JsonWriter& raw(std::string_view json);
+
+    /// key(name), then value(v...).
+    template <typename... V>
+    JsonWriter& member(std::string_view name, const V&... v)
+    {
+        key(name);
+        return value(v...);
+    }
+
+private:
+    struct Frame {
+        char close;
+        bool block;
+        bool empty;
+    };
+
+    JsonWriter& begin(char open, char close, Layout layout);
+    void separate(); ///< writes what goes before the next member or element
+
+    std::string& out_;
+    std::array<Frame, 16> frames_{}; ///< open containers, innermost last
+    int depth_ = 0;
+    int blockDepth_ = 0;
+    bool afterKey_ = false;
+};
 
 } // namespace gfi::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 namespace gfi {
 
@@ -73,44 +72,27 @@ void TextTable::print() const
     std::fwrite(s.data(), 1, s.size(), stdout);
 }
 
-CsvWriter::CsvWriter(const std::string& path)
-    : file_(std::fopen(path.c_str(), "w"))
+std::string csvRow(const std::vector<std::string>& cells)
 {
-    if (file_ == nullptr) {
-        throw std::runtime_error("CsvWriter: cannot open " + path);
-    }
-}
-
-CsvWriter::~CsvWriter()
-{
-    if (file_ != nullptr) {
-        std::fclose(static_cast<std::FILE*>(file_));
-    }
-}
-
-void CsvWriter::writeRow(const std::vector<std::string>& cells)
-{
-    auto* f = static_cast<std::FILE*>(file_);
+    std::string line;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        std::string cell = cells[i];
-        const bool needsQuote = cell.find_first_of(",\"\n") != std::string::npos;
-        if (needsQuote) {
-            std::string quoted = "\"";
-            for (char c : cell) {
-                if (c == '"') {
-                    quoted += '"';
-                }
-                quoted += c;
+        const std::string& cell = cells[i];
+        line += i > 0 ? "," : "";
+        if (cell.find_first_of(",\"\n") == std::string::npos) {
+            line += cell;
+            continue;
+        }
+        line += '"';
+        for (char c : cell) {
+            if (c == '"') {
+                line += '"';
             }
-            quoted += '"';
-            cell = std::move(quoted);
+            line += c;
         }
-        std::fputs(cell.c_str(), f);
-        if (i + 1 < cells.size()) {
-            std::fputc(',', f);
-        }
+        line += '"';
     }
-    std::fputc('\n', f);
+    line += '\n';
+    return line;
 }
 
 } // namespace gfi

@@ -1,6 +1,7 @@
 #pragma once
 // Minimal fixed-width text-table printer used by the benchmark harnesses to
-// print paper-style result tables.
+// print paper-style result tables, and the CSV row renderer behind every CSV
+// report.
 
 #include <string>
 #include <vector>
@@ -35,21 +36,8 @@ private:
     std::vector<Row> rows_;
 };
 
-/// Writes rows as CSV (no quoting beyond doubling embedded quotes).
-class CsvWriter {
-public:
-    /// Opens @p path for writing; throws std::runtime_error on failure.
-    explicit CsvWriter(const std::string& path);
-    ~CsvWriter();
-
-    CsvWriter(const CsvWriter&) = delete;
-    CsvWriter& operator=(const CsvWriter&) = delete;
-
-    /// Writes one CSV row.
-    void writeRow(const std::vector<std::string>& cells);
-
-private:
-    void* file_;
-};
+/// One CSV line, newline included: the cells joined by commas, a cell that
+/// holds a comma, quote or newline quoted with its quotes doubled.
+[[nodiscard]] std::string csvRow(const std::vector<std::string>& cells);
 
 } // namespace gfi

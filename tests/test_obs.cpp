@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "snapshot/snapshot.hpp"
+#include "trace/trace.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
@@ -370,6 +371,16 @@ TEST(ObsTelemetry, FullDiskWritesThrow)
     campaign::CampaignReport report;
     report.runs.emplace_back();
     EXPECT_THROW(campaign::writeReportJson(report, full), std::runtime_error);
+    EXPECT_THROW(campaign::writeReportCsv(report, full), std::runtime_error);
+    EXPECT_THROW(campaign::buildCostReport(report).writeCsv(full), std::runtime_error);
+
+    trace::AnalogTrace analog;
+    analog.name = "v";
+    analog.samples = {{0.0, 1.0}, {1e-9, 2.0}};
+    trace::DigitalTrace digital;
+    digital.name = "d";
+    EXPECT_THROW(trace::writeAnalogCsv(full, {&analog}), std::runtime_error);
+    EXPECT_THROW(trace::writeVcd(full, {&digital}, {&analog}), std::runtime_error);
 
     obs::Telemetry trace;
     trace.setTracePath(full);

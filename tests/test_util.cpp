@@ -1,11 +1,19 @@
-// Unit tests for utilities: deterministic RNG, SI formatting, tables, time.
+// Unit tests for utilities: deterministic RNG, SI formatting, tables, time,
+// CSV rows and the JSON writer's layouts.
 
+#include "lint/diagnostic.hpp"
+#include "obs/metrics.hpp"
 #include "sim/time.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <limits>
 
 namespace gfi {
 namespace {
@@ -139,17 +147,86 @@ TEST(Table, SeparatorAndPadding)
 
 TEST(Csv, QuotesSpecialCharacters)
 {
-    const std::string path = "/tmp/gfi_test_csv.csv";
-    {
-        CsvWriter w(path);
-        w.writeRow({"plain", "with,comma", "with\"quote"});
+    EXPECT_EQ(csvRow({"plain", "with,comma", "with\"quote"}),
+              "plain,\"with,comma\",\"with\"\"quote\"\n");
+}
+
+TEST(JsonWriter, Layouts)
+{
+    using util::JsonWriter;
+    using Layout = JsonWriter::Layout;
+    const std::string hostile = "q\"b\\t\tn\nc\x01"
+                                "z";
+    const struct {
+        const char* name;
+        std::function<void(JsonWriter&)> build;
+        std::string expected;
+    } rows[] = {
+        {"inline", [](JsonWriter& w) { w.beginObject().member("a", 1).member("b", 2).end(); },
+         "{\"a\": 1, \"b\": 2}"},
+        {"block",
+         [](JsonWriter& w) {
+             w.beginObject(Layout::Block).member("a", 1).key("o").beginObject(Layout::Block);
+             w.member("x", true).end().key("i").beginArray().value(1).value(2).end().end();
+         },
+         "{\n  \"a\": 1,\n  \"o\": {\n    \"x\": true\n  },\n  \"i\": [1, 2]\n}"},
+        {"block in inline",
+         [](JsonWriter& w) {
+             w.beginObject().key("e").beginArray(Layout::Block);
+             w.beginObject().member("k", 1).end().beginObject().member("k", 2).end();
+             w.end().member("u", "ms").end();
+         },
+         "{\"e\": [\n  {\"k\": 1},\n  {\"k\": 2}\n], \"u\": \"ms\"}"},
+        {"empty inline",
+         [](JsonWriter& w) { w.beginArray().beginObject().end().beginArray().end().end(); },
+         "[{}, []]"},
+        {"empty block",
+         [](JsonWriter& w) {
+             w.beginObject(Layout::Block).key("c").beginObject(Layout::Block).end();
+             w.key("e").beginArray(Layout::Block).end().end();
+         },
+         "{\n  \"c\": {\n  },\n  \"e\": [\n  ]\n}"},
+        {"empty block at root", [](JsonWriter& w) { w.beginArray(Layout::Block).end(); },
+         "[\n]"},
+        {"escaping",
+         [&hostile](JsonWriter& w) { w.beginObject().member(hostile, hostile).end(); },
+         "{\"q\\\"b\\\\t\\tn\\nc\\u0001z\": \"q\\\"b\\\\t\\tn\\nc\\u0001z\"}"},
+        {"integer limits",
+         [](JsonWriter& w) {
+             w.beginArray().value(std::numeric_limits<std::int64_t>::min());
+             w.value(std::numeric_limits<std::uint64_t>::max()).end();
+         },
+         "[-9223372036854775808, 18446744073709551615]"},
+        {"scalars",
+         [](JsonWriter& w) {
+             w.beginObject().key("n").null().member("f", false).member("d", 1.0 / 3.0, 4);
+             w.member("p", -0.1, 40);
+             w.member("v", std::vector<std::string>{"x", "y"}).key("r").raw("{\"z\": 0}").end();
+         },
+         "{\"n\": null, \"f\": false, \"d\": 0.3333, \"p\": -0.10000000000000001, "
+         "\"v\": [\"x\", \"y\"], "
+         "\"r\": {\"z\": 0}}"},
+        {"empty metrics registry",
+         [](JsonWriter& w) { w.raw(obs::MetricsRegistry().json()); },
+         "{\n  \"counters\": {\n  },\n  \"gauges\": {\n  },\n  \"histograms\": {\n  }\n}\n"},
+        {"empty lint report", [](JsonWriter& w) { w.raw(lint::Report().json()); }, "[\n]"},
+    };
+    for (const auto& row : rows) {
+        std::string out;
+        JsonWriter w(out);
+        row.build(w);
+        EXPECT_EQ(out, row.expected) << row.name;
+        EXPECT_NO_THROW((void)util::parseJson(out)) << row.name;
     }
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[256];
-    ASSERT_NE(std::fgets(buf, sizeof buf, f), nullptr);
-    std::fclose(f);
-    EXPECT_STREQ(buf, "plain,\"with,comma\",\"with\"\"quote\"\n");
+
+    // Round trip: the escaped key and value read back as the original bytes.
+    std::string doc;
+    JsonWriter(doc).beginObject(Layout::Block).member(hostile, hostile).end();
+    const util::JsonValue parsed = util::parseJson(doc);
+    const util::JsonObject& members = parsed.asObject();
+    ASSERT_EQ(members.size(), 1u);
+    EXPECT_EQ(members[0].first, hostile);
+    EXPECT_EQ(members[0].second.asString(), hostile);
 }
 
 } // namespace
